@@ -291,44 +291,46 @@ def _metrics_scenario(mode, hypercalls, attach_metrics):
 
 
 def check_metrics_reconcile(machine, metrics, report=None):
-    """``san-metrics-reconcile``: the registry mirrors must agree with
-    the legacy counters they were migrated from — ``TrapCounter.total``
-    equals the trap counter family's sum (and per reason), and
-    ``CycleLedger.total`` equals the cycle counter family's sum (and per
-    category).  Only meaningful when *metrics* was attached before the
-    machine did any work.
+    """``san-metrics-reconcile``: the collector-served families must
+    agree, key by key, with the counters they are pulled from —
+    ``repro_traps_total`` with ``TrapCounter`` and ``repro_cycles_total``
+    with the ``CycleLedger`` (totals and per key), and
+    ``repro_recoveries_total`` with ``RecoveryCounter`` (per event).
+    The families count movement since attach, so this is only
+    meaningful when *metrics* was attached before the machine did any
+    work.
     """
     if report is None:
         report = SanitizerReport()
-    registry = metrics.registry
-    traps = registry.get("repro_traps_total")
-    report.record(
-        traps is not None and traps.total() == machine.traps.total,
-        "san-metrics-reconcile",
-        "trap mirror diverged: TrapCounter.total=%d, registry sum=%s"
-        % (machine.traps.total,
-           traps.total() if traps is not None else None))
-    for reason, count in sorted(machine.traps.by_reason.items(),
-                                key=lambda item: item[0].value):
-        mirrored = traps.labels(metrics.config, reason).value
-        report.record(
-            mirrored == count, "san-metrics-reconcile",
-            "trap mirror diverged for %s: counter=%d, registry=%d"
-            % (reason.value, count, mirrored))
-    cycles = registry.get("repro_cycles_total")
-    report.record(
-        cycles is not None and cycles.total() == machine.ledger.total,
-        "san-metrics-reconcile",
-        "cycle mirror diverged: ledger.total=%d, registry sum=%s"
-        % (machine.ledger.total,
-           cycles.total() if cycles is not None else None))
-    for category, count in sorted(machine.ledger.by_category.items()):
-        mirrored = cycles.labels(metrics.config, category).value
-        report.record(
-            mirrored == count, "san-metrics-reconcile",
-            "cycle mirror diverged for %s: ledger=%d, registry=%d"
-            % (category, count, mirrored))
+    islands = [("repro_traps_total", machine.traps.total,
+                machine.traps.by_reason),
+               ("repro_cycles_total", machine.ledger.total,
+                machine.ledger.by_category)]
+    recoveries = getattr(machine, "recoveries", None)
+    if recoveries is not None:
+        islands.append(("repro_recoveries_total", None, recoveries.by_event))
+    for name, total, by_key in islands:
+        family = metrics.registry.get(name)
+        if total is not None:
+            pulled = family.total() if family is not None else None
+            report.record(
+                pulled == total, "san-metrics-reconcile",
+                "%s diverged: counter total=%d, registry sum=%s"
+                % (name, total, pulled))
+        for key, count in sorted(by_key.items(),
+                                 key=lambda item: _key_text(item[0])):
+            pulled = (family.labels(metrics.config, key).value
+                      if family is not None else None)
+            report.record(
+                pulled == count, "san-metrics-reconcile",
+                "%s diverged for %s: counter=%d, registry=%s"
+                % (name, _key_text(key), count, pulled))
     return report
+
+
+def _key_text(key):
+    """A counter key as its label text (enum members by value)."""
+    return str(getattr(key, "value", key))
 
 
 def check_metrics_ledger(report=None, mode="neve", hypercalls=2):

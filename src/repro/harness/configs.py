@@ -85,8 +85,8 @@ def make_microbench(name, costs=None, registry=None, fastpath=None):
     ``costs`` overrides the platform's calibrated :class:`CostModel`
     (the bench pipeline's regression tests perturb it).  ``registry``,
     when given, attaches a :class:`MachineMetrics` facade (config label =
-    *name*) to the machine *before* it boots, so the registry mirrors
-    reconcile exactly with the legacy counters.  ``fastpath`` is passed
+    *name*) to the machine *before* it boots, so the pulled counter
+    families reconcile exactly with the machine's counters.  ``fastpath`` is passed
     through to :class:`Machine` (None = machine default; the x86 model
     has no dispatch ladder to precompile, so it is ignored there).
     """

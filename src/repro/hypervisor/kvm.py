@@ -147,10 +147,6 @@ class Machine:
         """Backing device model for MMIO reads (both emulation levels)."""
         return self.device_values.get(addr, 0x5AFE_D00D)
 
-    def reset_metrics(self):
-        self.ledger.reset()
-        self.traps.reset()
-
 
 class KvmHypervisor:
     """The L0 host hypervisor."""

@@ -44,25 +44,16 @@ class ExitReason(enum.Enum):
 
 @dataclass
 class TrapCounter:
-    """Counts traps to the host hypervisor, by :class:`ExitReason`.
-
-    ``sink``, when set, is called as ``sink(reason)`` after every record —
-    the hook :class:`repro.metrics.instrument.MachineMetrics` uses to
-    mirror the counter into the registry.  The sink must never charge the
-    cycle ledger.
-    """
+    """Counts traps to the host hypervisor, by :class:`ExitReason`."""
 
     total: int = 0
     by_reason: dict = field(default_factory=dict)
-    sink: object = field(default=None, repr=False, compare=False)
 
     def record(self, reason):
         if not isinstance(reason, ExitReason):
             raise TypeError("reason must be an ExitReason, got %r" % (reason,))
         self.total += 1
         self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
-        if self.sink is not None:
-            self.sink(reason)
 
     def count(self, reason):
         return self.by_reason.get(reason, 0)
@@ -105,15 +96,10 @@ class RecoveryEvent(enum.Enum):
 
 @dataclass
 class RecoveryCounter:
-    """Counts recovery actions, by :class:`RecoveryEvent`.
-
-    ``sink`` mirrors :class:`TrapCounter`'s: called as ``sink(event)``
-    after every record, must never charge the ledger.
-    """
+    """Counts recovery actions, by :class:`RecoveryEvent`."""
 
     total: int = 0
     by_event: dict = field(default_factory=dict)
-    sink: object = field(default=None, repr=False, compare=False)
 
     def record(self, event):
         if not isinstance(event, RecoveryEvent):
@@ -121,21 +107,12 @@ class RecoveryCounter:
                             % (event,))
         self.total += 1
         self.by_event[event] = self.by_event.get(event, 0) + 1
-        if self.sink is not None:
-            self.sink(event)
 
     def count(self, event):
         return self.by_event.get(event, 0)
-
-    def snapshot(self):
-        return self.total, dict(self.by_event)
 
     def as_dict(self):
         """Stable name-keyed view (for reports and digests)."""
         return {event.value: count
                 for event, count in sorted(self.by_event.items(),
                                            key=lambda item: item[0].value)}
-
-    def reset(self):
-        self.total = 0
-        self.by_event.clear()

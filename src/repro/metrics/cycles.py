@@ -84,30 +84,24 @@ class CycleLedger:
     ``"emulation"``, ``"guest"``; the totals drive Tables 1 and 6 while the
     breakdown feeds the analysis sections of EXPERIMENTS.md.
 
-    ``observer``, when set, is called as ``observer(cycles, category)``
-    on every charge — this is the single attribution point the tracer
-    (:mod:`repro.trace`) hooks so per-span cycles reconcile exactly
-    against ``total``.  The observer must never charge the ledger.
+    Three observe-only slots are called as ``hook(cycles, category)`` on
+    every charge, and none may charge the ledger itself:
 
-    ``metrics_sink`` is a second, independent hook with the same
-    signature, reserved for the telemetry registry
-    (:mod:`repro.metrics.instrument`) so metrics and the tracer can ride
-    the same run without fighting over the ``observer`` slot.  Like the
-    observer, it must never charge the ledger.
+    * ``observer`` — the tracer (:mod:`repro.trace`), the single
+      attribution point that makes per-span cycles reconcile exactly
+      against ``total``;
+    * ``metrics_sink`` — assigned nowhere in the package: the telemetry
+      registry pulls ``by_category`` at read time instead
+      (:mod:`repro.metrics.instrument`).  Kept for the benchmark's
+      traced mode, which wraps the slot by name;
+    * ``profile_sink`` — the host profiler's redundancy observatory
+      (:mod:`repro.profile`), which measures this very fan-out and so is
+      excluded from its own count (``san-profile-zero-cycles``).
 
-    ``profile_sink`` is the third slot, reserved for the host profiler's
-    redundancy observatory (:mod:`repro.profile`): it measures this very
-    fan-out — how many consumer calls each charge dispatch pays — so it
-    rides last and is excluded from its own fan-out count.  Same
-    contract: observe-only, never charges (enforced by
-    ``san-profile-zero-cycles``).
-
-    The three slots are property-backed: assigning one rebuilds a single
+    The slots are property-backed: assigning one rebuilds a single
     **fused** callback, so ``charge`` pays one ``is None`` check and at
-    most one call when at most one consumer is attached, instead of
-    three checks per charge.  With N consumers the fused chain calls
-    them in slot order (observer, metrics_sink, profile_sink) — exactly
-    the order the unfused dispatch used.
+    most one call with at most one consumer; several are called in slot
+    order (observer, metrics_sink, profile_sink).
     """
 
     __slots__ = ("total", "by_category", "_observer", "_metrics_sink",
@@ -157,8 +151,8 @@ class CycleLedger:
         if not hooks:
             self._fused = None
         elif len(hooks) == 1:
-            # The common case (a tracer OR a metrics facade): the fused
-            # callback is the consumer itself, no wrapper frame.
+            # The common case (one consumer): the fused callback is the
+            # consumer itself, no wrapper frame.
             self._fused = hooks[0]
         else:
             def _fused_chain(cycles, category, _hooks=hooks):

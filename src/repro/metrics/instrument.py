@@ -1,23 +1,20 @@
 """Wiring between the simulation's hot layers and the telemetry registry.
 
 :class:`MachineMetrics` owns the metric families for one machine (one
-``config`` label value) and attaches itself to the three legacy counting
-islands without changing their APIs:
+``config`` label value) and feeds it two ways:
 
-* :class:`~repro.metrics.cycles.CycleLedger` — via the ``metrics_sink``
-  hook (the ``observer`` slot stays reserved for the tracer);
-* :class:`~repro.metrics.counters.TrapCounter` and
-  :class:`~repro.metrics.counters.RecoveryCounter` — via their ``sink``
-  hooks, so ``TrapCounter.total`` always equals the registry counter sum
-  (the migration-parity invariant ``san-metrics-reconcile`` checks);
-* the hot code paths — via a ``cpu.metrics`` / ``machine.metrics``
-  attribute that defaults to ``None``; every instrumentation site gates
-  on a plain ``is None`` check, exactly like the tracer's ``cpu.tracer``,
-  so the disabled path adds zero simulated cycles.
+* pulled — one registry collector serves ``repro_cycles_total``,
+  ``repro_traps_total`` and ``repro_recoveries_total`` as the movement
+  of the ledger's and the trap/recovery counters' per-key dicts since
+  attach, so charges and traps pay nothing for them
+  (``san-metrics-reconcile`` checks the values key by key);
+* pushed — the hot code paths call a ``cpu.metrics`` /
+  ``machine.metrics`` attribute that defaults to ``None``; every site
+  gates on a plain ``is None`` check, exactly like the tracer's
+  ``cpu.tracer``, so the disabled path adds zero simulated cycles.
 
-Everything here only *reads* the ledger (for histogram spans and the
-virtual-cycle clock); nothing ever charges it — enforced by
-``san-metrics-ledger``.
+Everything here only *reads* the ledger; nothing ever charges it —
+enforced by ``san-metrics-ledger``.
 """
 
 from repro.metrics.registry import MetricsRegistry
@@ -44,6 +41,18 @@ class _PhaseTimer:
         return False
 
 
+def _movement_collector(sources, config):
+    """Serve each ``(family, live, baseline)`` dict pair as per-key
+    movement; keys new since the baseline are served even at 0."""
+    def collect():
+        for family, live, baseline in sources:
+            for key, value in live.items():
+                moved = value - baseline.get(key, 0)
+                if moved or key not in baseline:
+                    yield family, (config, key), moved
+    return collect
+
+
 class MachineMetrics:
     """The registry-backed telemetry facade for one machine/config.
 
@@ -56,6 +65,7 @@ class MachineMetrics:
     def __init__(self, registry=None, config="default"):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.config = config
+        self._collectors = {}  # attached machine -> registry collector
         reg = self.registry
         self.traps = reg.counter(
             "repro_traps_total",
@@ -126,48 +136,35 @@ class MachineMetrics:
 
     # -- attachment ------------------------------------------------------
 
-    def attach_cpu(self, cpu):
-        """Hook one cpu (and its shared ledger/trap counter)."""
-        cpu.metrics = self
-        cpu.ledger.metrics_sink = self._on_charge
-        cpu.traps.sink = self._on_trap
-        return self
-
     def attach_machine(self, machine):
-        """Hook a whole machine: ledger, trap/recovery counters, every
-        cpu.  Attach before running a workload if you want the registry
-        mirrors to reconcile exactly with the legacy counters."""
+        """Hook a whole machine: every cpu's hot-path hooks, plus one
+        collector serving the ledger, trap and recovery counters'
+        movement from this point on."""
         machine.metrics = self
-        machine.ledger.metrics_sink = self._on_charge
-        machine.traps.sink = self._on_trap
-        recoveries = getattr(machine, "recoveries", None)
-        if recoveries is not None:
-            recoveries.sink = self._on_recovery
         for cpu in machine.cpus:
             cpu.metrics = self
+        if machine not in self._collectors:
+            recoveries = getattr(machine, "recoveries", None)
+            islands = ((self.cycles, machine.ledger.by_category),
+                       (self.traps, machine.traps.by_reason),
+                       (self.recoveries, recoveries.by_event
+                        if recoveries is not None else {}))
+            collector = self._collectors[machine] = _movement_collector(
+                [(family, live, dict(live)) for family, live in islands],
+                self.config)
+            self.registry.register_collector(collector)
         return self
 
     def detach_machine(self, machine):
-        """Undo :meth:`attach_machine` (registry contents survive)."""
+        """Undo :meth:`attach_machine`.  The pulled families keep the
+        values reached so far; later work on the machine is not
+        counted."""
         machine.metrics = None
-        machine.ledger.metrics_sink = None
-        machine.traps.sink = None
-        recoveries = getattr(machine, "recoveries", None)
-        if recoveries is not None:
-            recoveries.sink = None
         for cpu in machine.cpus:
             cpu.metrics = None
-
-    # -- sinks (mirrors of the legacy counters) --------------------------
-
-    def _on_charge(self, cycles, category):
-        self.cycles.labels(self.config, category).inc(cycles)
-
-    def _on_trap(self, reason):
-        self.traps.labels(self.config, reason).inc()
-
-    def _on_recovery(self, event):
-        self.recoveries.labels(self.config, event).inc()
+        collector = self._collectors.pop(machine, None)
+        if collector is not None:
+            self.registry.unregister_collector(collector)
 
     # -- hot-path hooks (all gated by ``x.metrics is None`` at the site) -
 

@@ -1,11 +1,8 @@
 """Unified telemetry registry: labelled counters, gauges and histograms.
 
 The paper's argument is quantitative — trap counts and cycle costs per
-exit class (Tables 1, 6, 7) — and until now the repo's counters lived in
-three disconnected islands (:class:`~repro.metrics.counters.TrapCounter`,
-:class:`~repro.metrics.counters.RecoveryCounter`, the
-:class:`~repro.metrics.cycles.CycleLedger` categories) with no common
-export.  The registry gives them one home with machine-readable exports:
+exit class (Tables 1, 6, 7).  The registry gives the simulator's counts
+one labelled home with machine-readable exports:
 
 * **Primitives.**  :class:`Counter`, :class:`Gauge` and
   :class:`Histogram` families, each with a fixed tuple of label names
@@ -19,6 +16,10 @@ export.  The registry gives them one home with machine-readable exports:
   ledger total via the registry's ``clock`` — never the wall clock, so
   the Prometheus text exposition and the JSON snapshot are byte-identical
   across runs of the same seeded scenario.
+
+* **Collectors.**  Counts the simulator already keeps are *pulled* at
+  read time by collector callbacks (the Prometheus "custom collector"
+  pattern), so the hot path pays nothing per event.
 
 * **Cost.**  The registry only ever *reads* the ledger (through the
   clock callable); it never charges it.  Instrumentation sites gate on a
@@ -83,9 +84,6 @@ class CounterValue(_Child):
             raise ValueError("counters only go up; got %r" % (amount,))
         self.value += amount
 
-    def get(self):
-        return self.value
-
 
 class GaugeValue(_Child):
     """A value that can go up and down (depth, queue length, ...)."""
@@ -104,9 +102,6 @@ class GaugeValue(_Child):
 
     def dec(self, amount=1):
         self.value -= amount
-
-    def get(self):
-        return self.value
 
 
 class HistogramValue(_Child):
@@ -153,6 +148,7 @@ class MetricFamily:
         for label in self.labelnames:
             _validate_name(label)
         self._children = {}  # label-values tuple -> child
+        self._registry = None  # set on registration, pulled by total()
 
     def _make_child(self, values):
         raise NotImplementedError
@@ -204,7 +200,9 @@ class Counter(MetricFamily):
         return CounterValue(values)
 
     def total(self):
-        """Sum across all children (migration-parity checks)."""
+        """Sum across all children, pulled series included."""
+        if self._registry is not None:
+            self._registry.pull()
         return sum(child.value for child in self._children.values())
 
 
@@ -247,6 +245,7 @@ class MetricsRegistry:
 
     def __init__(self, clock=None):
         self._families = {}  # name -> family, registration-ordered
+        self._collectors = {}  # collector -> {(family, values): applied}
         self.clock = clock
 
     # -- registration ----------------------------------------------------
@@ -261,6 +260,7 @@ class MetricsRegistry:
                     "have %r, want %r" % (name, family.signature, wanted))
             return family
         family = cls(name, help_text, labelnames, **kwargs)
+        family._registry = self
         self._families[name] = family
         return family
 
@@ -275,17 +275,38 @@ class MetricsRegistry:
         return self._register(Histogram, name, help_text, labelnames,
                               buckets=buckets)
 
+    # -- collectors ------------------------------------------------------
+
+    def register_collector(self, collector):
+        """Serve counter series from *collector*, a zero-argument
+        callable yielding ``(family, label_values, value)`` samples of
+        its running contribution.  Every read path pulls first, adding
+        each sample's movement since the last pull to its child."""
+        self._collectors.setdefault(collector, {})
+
+    def unregister_collector(self, collector):
+        """Fold *collector*'s final values in and stop pulling it."""
+        _fold(collector, self._collectors.pop(collector))
+
+    def pull(self):
+        """Fold every collector's movement since the last pull."""
+        for collector, applied in self._collectors.items():
+            _fold(collector, applied)
+
     # -- inspection ------------------------------------------------------
 
     def collect(self):
-        """Families in registration order."""
+        """Families in registration order, collectors pulled."""
+        self.pull()
         return list(self._families.values())
 
     def get(self, name):
+        self.pull()
         return self._families.get(name)
 
     def reset(self):
         """Drop every child (families and schemas stay registered)."""
+        self.pull()
         for family in self._families.values():
             family.reset()
 
@@ -423,6 +444,15 @@ class MetricsRegistry:
                     for index, count in enumerate(entry["buckets"]):
                         child.counts[index] += count
         return self
+
+
+def _fold(collector, applied):
+    """Add one collector's movement since its *applied* values."""
+    for family, values, value in collector():
+        previous = applied.get((family, values))
+        if previous != value:  # a first sample at 0 creates its child
+            applied[family, values] = value
+            family.labels(*values).inc(value - (previous or 0))
 
 
 def snapshot_delta(base, current):

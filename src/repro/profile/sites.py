@@ -61,8 +61,6 @@ SITE_RULES = (
     #    the trap path pay per event ------------------------------------
     ("repro/trace/spans.py", "_on_charge", "hooks.tracer_observer"),
     ("repro/trace/spans.py", None, "hooks.tracer"),
-    ("repro/metrics/instrument.py", "_on_charge", "hooks.metrics_sink"),
-    ("repro/metrics/instrument.py", "_on_trap", "hooks.metrics_sink"),
     ("repro/metrics/instrument.py", None, "hooks.metrics"),
     ("repro/metrics/registry.py", None, "hooks.registry"),
     ("repro/metrics/counters.py", None, "hooks.counters"),

@@ -1,17 +1,23 @@
-"""MachineMetrics: migration parity, zero added cycles, determinism."""
+"""MachineMetrics: migration parity, pulled counters, zero added
+cycles, determinism."""
 
 import pytest
 
 from repro.analysis.sanitizer import (check_metrics_ledger,
                                       check_metrics_reconcile,
                                       run_metrics_checks)
+from repro.faults.campaign import run_campaign
 from repro.harness.configs import ALL_CONFIGS, make_microbench
-from repro.metrics.counters import RecoveryCounter, RecoveryEvent
+from repro.hypervisor.kvm import Machine
+from repro.metrics.counters import ExitReason, RecoveryEvent
 from repro.metrics.instrument import MachineMetrics
 from repro.metrics.registry import MetricsRegistry
 
 ARM_CONFIGS = sorted(name for name, config in ALL_CONFIGS.items()
                      if config.platform == "arm")
+
+#: A fault-campaign seed whose run takes seven kinds of recovery action.
+RECOVERING_SEED = 0
 
 
 def _run_suite(name, registry=None, iterations=3):
@@ -21,7 +27,7 @@ def _run_suite(name, registry=None, iterations=3):
 
 
 class TestMigrationParity:
-    """The registry mirrors equal the legacy counters they replaced."""
+    """The pulled families equal the counters they are served from."""
 
     @pytest.mark.parametrize("name", ARM_CONFIGS)
     def test_trap_counter_parity(self, name):
@@ -61,9 +67,9 @@ class TestMigrationParity:
         assert report.checks > 4
 
     def test_recovery_counter_sink(self):
-        metrics = MachineMetrics(config="test")
-        counter = RecoveryCounter()
-        counter.sink = metrics._on_recovery
+        machine = Machine()
+        metrics = MachineMetrics(config="test").attach_machine(machine)
+        counter = machine.recoveries
         counter.record(RecoveryEvent.VNCR_RESYNC)
         counter.record(RecoveryEvent.VNCR_RESYNC)
         counter.record(RecoveryEvent.REPLAY)
@@ -172,8 +178,92 @@ class TestHotLayerSignals:
         machine.metrics.detach_machine(machine)
         assert machine.metrics is None
         assert machine.ledger.metrics_sink is None
-        assert machine.traps.sink is None
         assert all(cpu.metrics is None for cpu in machine.cpus)
         before = registry.get("repro_cycles_total").total()
         suite.run("hypercall", 1)
         assert registry.get("repro_cycles_total").total() == before
+
+
+class TestPulledCounters:
+    """The ledger, trap and recovery families are pulled at read time as
+    the movement since attach."""
+
+    def test_late_attach_reports_only_post_attach_movement(self):
+        suite = make_microbench("neve-nested")
+        suite.run("hypercall", 1)
+        machine = suite.machine
+        cycles_mark = machine.ledger.snapshot()
+        traps_mark = machine.traps.snapshot()
+        metrics = MachineMetrics(config="late").attach_machine(machine)
+        registry = metrics.registry
+        assert registry.get("repro_cycles_total").total() == 0
+        assert registry.get("repro_traps_total").total() == 0
+        suite.run("hypercall", 2)
+        cycles = registry.get("repro_cycles_total")
+        assert cycles.total() == machine.ledger.since(cycles_mark)
+        for category, count in machine.ledger.by_category.items():
+            moved = count - cycles_mark[1].get(category, 0)
+            if moved:
+                assert cycles.labels("late", category).value == moved
+        traps = registry.get("repro_traps_total")
+        assert traps.total() == machine.traps.since(traps_mark)
+        assert {child.label_values[1]: child.value
+                for child in traps.children()} \
+            == {reason.value: count for reason, count
+                in machine.traps.delta_by_reason(traps_mark).items()}
+
+    def test_reads_between_runs_stay_exact(self):
+        registry = MetricsRegistry()
+        suite = make_microbench("arm-nested", registry=registry)
+        for _ in range(3):
+            suite.run("hypercall", 1)
+            assert check_metrics_reconcile(suite.machine,
+                                           suite.machine.metrics).passed
+
+    def test_detach_freezes_values(self):
+        registry = MetricsRegistry()
+        suite = _run_suite("neve-nested", registry)
+        machine = suite.machine
+        machine.metrics.detach_machine(machine)
+        frozen = registry.json_snapshot(), registry.prometheus_text()
+        assert registry.get("repro_cycles_total").total() \
+            == machine.ledger.total
+        suite.run("hypercall", 2)
+        assert (registry.json_snapshot(), registry.prometheus_text()) \
+            == frozen
+        assert registry.get("repro_traps_total").total() \
+            < machine.traps.total
+
+    def test_facades_sharing_a_config_label_add_up(self):
+        registry = MetricsRegistry()
+        first = _run_suite("neve-nested", registry)
+        second = _run_suite("neve-nested", registry)
+        machines = (first.machine, second.machine)
+        assert registry.get("repro_cycles_total").total() \
+            == sum(machine.ledger.total for machine in machines)
+        traps = registry.get("repro_traps_total")
+        for reason in ExitReason:
+            expected = sum(machine.traps.count(reason)
+                           for machine in machines)
+            if expected:
+                assert traps.labels("neve-nested", reason).value \
+                    == expected
+
+    def test_repeated_exports_are_identical_and_free(self):
+        registry = MetricsRegistry()
+        suite = _run_suite("neve-nested", registry)
+        ledger = suite.machine.ledger
+        registry.clock = lambda: ledger.total
+        mark = ledger.snapshot()
+        first = registry.json_snapshot(), registry.prometheus_text()
+        second = registry.json_snapshot(), registry.prometheus_text()
+        assert first == second
+        assert ledger.snapshot() == mark
+
+    def test_pulled_recoveries_match_campaign(self):
+        metrics = MachineMetrics(config="campaign")
+        result = run_campaign(RECOVERING_SEED, metrics=metrics)
+        assert result.recovery_counts
+        family = metrics.registry.get("repro_recoveries_total")
+        assert {child.label_values[1]: child.value
+                for child in family.children()} == result.recovery_counts

@@ -297,3 +297,78 @@ class TestSnapshotDelta:
         assert (lat["count"], lat["sum"]) == (1, 50)
         # And the cursor rebaselines past the merge like any movement.
         assert cursor.advance()["metrics"] == {}
+
+
+class TestCollectors:
+    """Pulled series: collectors are folded in by every read path."""
+
+    def _pulled(self):
+        registry = MetricsRegistry()
+        family = registry.counter("pulled_total", "", ("key",))
+        source = {}
+        registry.register_collector(
+            lambda: ((family, (key,), value)
+                     for key, value in source.items()))
+        return registry, family, source
+
+    def test_every_read_path_sees_the_live_source(self):
+        registry, family, source = self._pulled()
+        source["a"] = 3
+        assert family.total() == 3
+        source["a"] = 5
+        assert registry.get("pulled_total").labels("a").value == 5
+        source["b"] = 1
+        assert 'pulled_total{key="b"} 1' in registry.prometheus_text()
+        source["b"] = 2
+        assert registry.snapshot()["pulled_total"]["series"][1]["value"] \
+            == 2
+
+    def test_zero_sample_creates_its_child(self):
+        registry, family, source = self._pulled()
+        source["idle"] = 0
+        assert [child.label_values for child in
+                registry.get("pulled_total").children()] == [("idle",)]
+
+    def test_collectors_feeding_one_child_add_up(self):
+        registry, family, source = self._pulled()
+        registry.register_collector(lambda: [(family, ("a",), 10)])
+        source["a"] = 1
+        assert family.total() == 11
+
+    def test_unregister_freezes_the_contribution(self):
+        registry = MetricsRegistry()
+        family = registry.counter("pulled_total", "", ("key",))
+        value = [4]
+
+        def collector():
+            yield family, ("a",), value[0]
+        registry.register_collector(collector)
+        value[0] = 6
+        registry.unregister_collector(collector)
+        value[0] = 100
+        assert family.total() == 6
+
+    def test_reset_drops_what_was_counted_so_far(self):
+        registry, family, source = self._pulled()
+        source["a"] = 7
+        registry.reset()
+        assert family.total() == 0
+        source["a"] = 9
+        assert family.total() == 2
+
+    def test_cursor_deltas_fold_back_to_the_pulled_totals(self):
+        registry, family, source = self._pulled()
+        cursor = registry.delta_cursor()
+        folded = MetricsRegistry()
+        for value in (2, 2, 5):
+            source["a"] = value
+            folded.merge_snapshot(cursor.advance())
+        assert folded.get("pulled_total").total() == 5
+
+    def test_a_source_going_backwards_is_refused(self):
+        registry, family, source = self._pulled()
+        source["a"] = 3
+        family.total()
+        source["a"] = 1
+        with pytest.raises(ValueError):
+            family.total()

@@ -186,3 +186,23 @@ class TestOnTheSimulator:
         machine, _ = _scenario(attach=True)
         assert machine.ledger.profile_sink is None
         assert all(cpu.redundancy is None for cpu in machine.cpus)
+
+    def test_pulled_metrics_leave_the_charge_chain_unarmed(self):
+        # Telemetry is served to the registry at read time, so a metered
+        # machine's ledger charges dispatch to no consumer.
+        from repro.harness.configs import make_microbench
+        from repro.metrics.registry import MetricsRegistry
+
+        suite = make_microbench("neve-nested", registry=MetricsRegistry())
+        profiler = HostProfiler()
+        profiler.attach_machine(suite.machine, config="neve-nested")
+        suite.run("hypercall", 1)
+        profiler.detach_machine()
+        observatory = profiler.redundancy
+        charges = sum(count for key, count
+                      in observatory.hook_chain._counts.items()
+                      if key[1] == "ledger.charge")
+        assert charges > 0
+        assert {key[2] for key in observatory.hook_chain._counts
+                if key[1] == "ledger.charge"} == {"none"}
+        assert "metrics_sink" not in observatory.per_hook
