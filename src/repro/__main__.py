@@ -31,9 +31,8 @@ SUBCOMMANDS = (
      "quarantine, deterministic merge, flight recorder and live "
      "telemetry (--chaos for the hostile mode)"),
     ("profile", "repro.profile.cli",
-     "host-time profiler and dispatch-redundancy observatory: phase "
-     "tables, flamegraphs, hotspot diffs (--diff) and the "
-     "repro-profile/1 schema gate (--validate)"),
+     "host-time profiler: phase tables, flamegraphs, hotspot diffs "
+     "(--diff) and the repro-profile/2 schema gate (--validate)"),
 )
 
 

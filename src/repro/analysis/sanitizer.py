@@ -367,14 +367,18 @@ def check_metrics_ledger(report=None, mode="neve", hypercalls=2):
     return report
 
 
-def _profile_scenario(mode, hypercalls, attach_profiler):
-    """The ``san-profile-zero-cycles`` scenario: the metrics scenario
-    with a tracer attached too, optionally run under the host profiler.
+def _instrumented_scenario(mode, hypercalls, fastpath=None,
+                           guest_vhe=False, profiler=None):
+    """One nested boot + hypercall scenario with telemetry and a tracer
+    attached — the shared harness of the differential checks
+    (``san-profile-zero-cycles``, ``san-fastpath-parity``).
 
-    Returns ``(machine, metrics, trace_json, profiler_or_None)`` —
+    *fastpath* forces the dispatch fast path on or off (None = machine
+    default); *profiler*, when given, is a host profiler whose window
+    wraps the scenario.  Returns ``(machine, metrics, trace_json)`` —
     *trace_json* is the canonical serialization of the tracer's ring
-    buffer, so the check can demand the traced spans themselves are
-    byte-identical with and without profiling.
+    buffer, so a check can demand the traced spans themselves are
+    byte-identical across the two runs it compares.
     """
     import json as _json
 
@@ -386,31 +390,28 @@ def _profile_scenario(mode, hypercalls, attach_profiler):
     from repro.trace.spans import Tracer
 
     config = ALL_CONFIGS["arm-nested" if mode == "nv" else "neve-nested"]
-    machine = Machine(arch=arm_arch_for(config), costs=ARM_COSTS)
+    machine = Machine(arch=arm_arch_for(config), costs=ARM_COSTS,
+                      fastpath=fastpath)
     metrics = MachineMetrics(config=config.name)
     metrics.attach_machine(machine)
     metrics.registry.clock = lambda: machine.ledger.total
     tracer = Tracer()
     tracer.attach_machine(machine)
-    profiler = None
-    if attach_profiler:
-        from repro.profile.profiler import HostProfiler
-        profiler = HostProfiler()
-        profiler.attach_machine(machine, config=config.name)
+    if profiler is not None:
         profiler.start()
     try:
-        vm = machine.kvm.create_vm(num_vcpus=1, nested=mode)
+        vm = machine.kvm.create_vm(num_vcpus=1, nested=mode,
+                                   guest_vhe=guest_vhe)
         machine.kvm.boot_nested(vm.vcpus[0])
         for _ in range(hypercalls):
             vm.vcpus[0].cpu.hvc(0)
     finally:
         if profiler is not None:
             profiler.stop()
-            profiler.detach_machine()
     tracer.stop()
     trace_json = _json.dumps(tracer_payload(tracer), sort_keys=True,
                              separators=(",", ":"))
-    return machine, metrics, trace_json, profiler
+    return machine, metrics, trace_json
 
 
 def check_profile_zero_cycles(report=None, mode="neve", hypercalls=2):
@@ -420,16 +421,19 @@ def check_profile_zero_cycles(report=None, mode="neve", hypercalls=2):
     Runs the same seeded scenario twice — host profiler attached and
     absent — and demands identical ledger totals, trap counts, and
     byte-identical metrics and trace exports (profiling measures host
-    time and dispatch redundancy; it never charges a virtual cycle or
-    perturbs an outcome).  Then builds the profile document itself and
-    demands *that* charged nothing either.
+    time; it never charges a virtual cycle or perturbs an outcome).
+    Then builds the profile document itself and demands *that* charged
+    nothing either.
     """
     if report is None:
         report = SanitizerReport()
-    bare_machine, bare_metrics, bare_trace, _ = _profile_scenario(
-        mode, hypercalls, attach_profiler=False)
-    machine, metrics, trace_json, profiler = _profile_scenario(
-        mode, hypercalls, attach_profiler=True)
+    from repro.profile.profiler import HostProfiler
+
+    bare_machine, bare_metrics, bare_trace = _instrumented_scenario(
+        mode, hypercalls)
+    profiler = HostProfiler()
+    machine, metrics, trace_json = _instrumented_scenario(
+        mode, hypercalls, profiler=profiler)
     report.record(
         machine.ledger.total == bare_machine.ledger.total,
         "san-profile-zero-cycles",
@@ -538,40 +542,6 @@ def check_fleet_merge(report=None, machines=3, seed=0):
     return report
 
 
-def _fastpath_scenario(mode, hypercalls, fastpath, guest_vhe=False):
-    """One nested boot + hypercall scenario with the dispatch fast path
-    forced on or off, instrumented like :func:`_profile_scenario`.
-
-    Returns ``(machine, metrics, trace_json)``.
-    """
-    import json as _json
-
-    from repro.harness.configs import ALL_CONFIGS, arm_arch_for
-    from repro.hypervisor.kvm import Machine
-    from repro.metrics.cycles import ARM_COSTS
-    from repro.metrics.instrument import MachineMetrics
-    from repro.trace.export import tracer_payload
-    from repro.trace.spans import Tracer
-
-    config = ALL_CONFIGS["arm-nested" if mode == "nv" else "neve-nested"]
-    machine = Machine(arch=arm_arch_for(config), costs=ARM_COSTS,
-                      fastpath=fastpath)
-    metrics = MachineMetrics(config=config.name)
-    metrics.attach_machine(machine)
-    metrics.registry.clock = lambda: machine.ledger.total
-    tracer = Tracer()
-    tracer.attach_machine(machine)
-    vm = machine.kvm.create_vm(num_vcpus=1, nested=mode,
-                               guest_vhe=guest_vhe)
-    machine.kvm.boot_nested(vm.vcpus[0])
-    for _ in range(hypercalls):
-        vm.vcpus[0].cpu.hvc(0)
-    tracer.stop()
-    trace_json = _json.dumps(tracer_payload(tracer), sort_keys=True,
-                             separators=(",", ":"))
-    return machine, metrics, trace_json
-
-
 def check_fastpath_parity(report=None, modes=("nv", "neve"),
                           hypercalls=2):
     """``san-fastpath-parity``: the precompiled dispatch table must be a
@@ -591,9 +561,9 @@ def check_fastpath_parity(report=None, modes=("nv", "neve"),
     for mode in modes:
         for guest_vhe in (False, True):
             label = "%s%s" % (mode, "+vhe" if guest_vhe else "")
-            slow_machine, slow_metrics, slow_trace = _fastpath_scenario(
+            slow_machine, slow_metrics, slow_trace = _instrumented_scenario(
                 mode, hypercalls, fastpath=False, guest_vhe=guest_vhe)
-            fast_machine, fast_metrics, fast_trace = _fastpath_scenario(
+            fast_machine, fast_metrics, fast_trace = _instrumented_scenario(
                 mode, hypercalls, fastpath=True, guest_vhe=guest_vhe)
             report.record(
                 fast_machine.dispatch is not None

@@ -181,22 +181,12 @@ class Cpu:
         # bare Cpu instances) keeps the reference ladder below.
         self.dispatch = dispatch
         # Per-CPU verdict cache over the table, keyed
-        # (context, name, encoding, is_write) — the same shape as the
-        # redundancy observatory's classification keys.  The context
-        # codes are NEVE-blind, so the cache MUST be invalidated
-        # whenever the hardware VNCR_EL2 enable state may have changed
-        # (see invalidate_verdict_cache).
+        # (context, name, encoding, is_write).  The context codes are
+        # NEVE-blind, so the cache MUST be invalidated whenever the
+        # hardware VNCR_EL2 enable state may have changed (see
+        # invalidate_verdict_cache).
         self._verdicts = {}
         self._neve_verdict_state = None  # cached neve_enabled, or None
-
-        # Optional dispatch-redundancy observatory binding
-        # (repro.profile.redundancy.MachineRedundancy).  Counts how
-        # often the classification ladder and the trap path re-derive
-        # the same decision so the host profiler can project what a
-        # precompiled dispatch table would save.  Observe-only, never
-        # charges the ledger, disabled path is one attribute check
-        # (enforced by san-profile-zero-cycles).
-        self.redundancy = None
 
     # ------------------------------------------------------------------
     # Context management
@@ -458,23 +448,12 @@ class Cpu:
             # access does — hardware register or deferred page).
             value = hook.filter_sysreg_write(self, reg, value)
 
-        # The redundancy observatory needs the resolution context as it
-        # was *before* the access: a trapping access world-switches
-        # underneath us while the handler runs.
-        redundancy = self.redundancy
-        context = (redundancy.context_key(self)
-                   if redundancy is not None else None)
-
         if self.current_el == ExceptionLevel.EL2:
             result = self._access_at_el2(reg, is_write, value, enc)
         elif self.at_virtual_el2:
             result = self._access_at_virtual_el2(reg, is_write, value, enc)
         else:
             result = self._access_at_guest_el1(reg, is_write, value, enc)
-
-        if redundancy is not None:
-            redundancy.note_classification(context, reg.name, enc,
-                                           is_write, result[1])
 
         if hook is not None:
             if not is_write:
@@ -491,9 +470,9 @@ class Cpu:
         """Table-driven twin of the slow path above.
 
         Effect ordering is identical by construction: pre-charge UNDEF
-        -> ledger charge -> fault-hook write filter -> redundancy
-        context snapshot -> mechanism (which may raise a post-charge
-        UNDEF) -> redundancy note -> fault-hook read filter / SError.
+        -> ledger charge -> fault-hook write filter -> mechanism (which
+        may raise a post-charge UNDEF) -> fault-hook read filter /
+        SError.
         Only the *decision* is precompiled; every mechanism runs the
         same code the ladder would have called.
         """
@@ -519,10 +498,6 @@ class Cpu:
         if hook is not None and is_write:
             value = hook.filter_sysreg_write(self, reg, value)
 
-        redundancy = self.redundancy
-        context = (redundancy.context_key(self)
-                   if redundancy is not None else None)
-
         if op == OP_HW:
             _op, bank_is_el2, target, kind = action
             regfile = self.el2_regs if bank_is_el2 else self.el1_regs
@@ -540,10 +515,6 @@ class Cpu:
             result = self._gic_cpu_access(reg, is_write, value)
         else:  # OP_UNDEF: a ladder-level UNDEF, after the charge.
             raise UndefinedInstruction(reg.name, is_write)
-
-        if redundancy is not None:
-            redundancy.note_classification(context, reg.name, enc,
-                                           is_write, result[1])
 
         if hook is not None:
             if not is_write:
@@ -790,9 +761,6 @@ class Cpu:
                 "recursive trap while handling a trap at EL2: %s"
                 % syndrome.describe())
         self.traps.record(reason)
-        redundancy = self.redundancy
-        if redundancy is not None:
-            redundancy.note_trap(self, reason)
         # One trap span per TrapCounter.record: traps the handler causes
         # while emulating this one nest through the call stack, so the
         # span tree's trap count is the exit-multiplication factor.

@@ -1,14 +1,18 @@
 """Precompiled system-register dispatch tables (the trap-dispatch fast
 path).
 
-The redundancy observatory (:mod:`repro.profile.redundancy`) measured
-that for a fixed (config, register, context, encoding, op) key the
-classification ladder in :mod:`repro.arch.cpu` re-derives the same
-verdict on essentially every access — projecting >99% table-hit rates
-on the NEVE configurations.  This module is the consumer of that
-projection: it compiles the ladder's decisions into a flat
+For a fixed (config, register, context, encoding, op) key the
+classification ladder in :mod:`repro.arch.cpu` derives the same verdict
+on every access: the paper's Tables 3-5 fix whether an access traps, is
+redirected, is deferred to the VNCR page or goes direct.  This module
+compiles the ladder's decisions into a flat
 ``(context, neve, register, encoding, op) -> action`` table that the
-hot loop answers with one dictionary lookup.
+hot loop answers with one dictionary lookup.  How often the table
+still walks the ladder is counted by ``DispatchTable.resolutions``
+(reported by the benchmark's traced mode as
+``arch.dispatch.resolutions`` and ``arch.dispatch.miss_ratio``); the
+host time the table saves shows in a ``python -m repro profile --diff``
+of a ``REPRO_NO_FASTPATH=1`` profile against a default one.
 
 Resolution is **partial evaluation of the real ladder**, not a
 re-implementation: a probe CPU subclass intercepts the four access

@@ -13,9 +13,9 @@ Live telemetry rides the same event stream the supervisor journals:
 live accounting or the run fails), ``--trace-out FILE`` collects
 per-machine trace ring buffers and writes the stitched fleet-wide
 Chrome/Perfetto trace, and ``--profile`` arms the host profiler
-(:mod:`repro.profile`) in every worker — the per-shard host-time and
-redundancy documents fold through the same deterministic merge path
-into one fleet-wide ``repro-profile/1`` document (``--profile-out``),
+(:mod:`repro.profile`) in every worker — the per-shard host-time
+documents fold through the same deterministic merge path into one
+fleet-wide ``repro-profile/2`` document (``--profile-out``),
 which never participates in the digest or ``--verify`` byte
 comparisons because host time is nondeterministic.
 
@@ -112,11 +112,13 @@ def build_parser():
                              "Chrome/Perfetto trace to FILE")
     parser.add_argument("--profile", action="store_true",
                         help="run every worker under the host profiler "
-                             "and fold the per-shard host-time and "
-                             "redundancy documents through the merge")
+                             "and fold the per-shard host-time "
+                             "documents through the merge")
     parser.add_argument("--profile-out", metavar="FILE", default=None,
-                        help="write the fleet-wide repro-profile/1 "
-                             "document to FILE (implies --profile)")
+                        help="write the fleet-wide repro-profile/2 "
+                             "host-time document (per-phase wall time "
+                             "summed over every shard) to FILE "
+                             "(implies --profile)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the fleet digest document "
                              "(repro-fleet/1 JSON) to FILE")
@@ -268,12 +270,11 @@ def _report_profile(result, out_path):
         print("fleet: no fleet-wide profile (not every merged shard "
               "carried one)")
         return 0
-    from repro.profile.export import render_redundancy, write_json
+    from repro.profile.export import write_json
     document = merge.profile
     print("profile: %d shards folded, host %.1f ms across %d phases"
           % (document["meta"]["merged"], document["wall_ns"] / 1e6,
              len(document["phases"])))
-    print(render_redundancy(document, top=0))
     if out_path is not None:
         write_json(document, out_path)
         print("fleet: wrote %s" % out_path)

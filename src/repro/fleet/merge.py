@@ -37,7 +37,7 @@ class FleetMerge:
         self.records = records  # machine-index sorted
         self.registry = registry
         self.traces = traces    # machine_index -> trace payload, or None
-        #: Fleet-wide ``repro-profile/1`` document folded from the
+        #: Fleet-wide ``repro-profile/2`` document folded from the
         #: per-shard host profiles (profile runs), else None.  Host time
         #: is nondeterministic, so the profile deliberately stays out of
         #: the digest and every deterministic export above.

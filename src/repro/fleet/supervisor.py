@@ -98,7 +98,7 @@ class ShardState:
     records: list = None
     metrics_document: dict = None
     traces: dict = None  # machine_index -> trace payload (trace runs)
-    profile: dict = None  # repro-profile/1 document (profile runs)
+    profile: dict = None  # repro-profile/2 document (profile runs)
 
     @property
     def shard_id(self):

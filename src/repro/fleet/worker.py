@@ -28,7 +28,7 @@ Protocol on the pipe (dicts, one per ``send``), in order per machine:
   "checksum": <sha256 hex>}`` — exactly once, last.  Only this message
   feeds the merge; progress events are telemetry, so a later failure
   of the attempt never half-merges.  ``profile`` carries the shard's
-  ``repro-profile/1`` host-time document on ``profile=True`` runs; it
+  ``repro-profile/2`` host-time document on ``profile=True`` runs; it
   is checksummed like everything else but never folded into the
   deterministic exports (host time is nondeterministic by nature).
 
@@ -113,22 +113,19 @@ def payload_checksum(records, metrics_document, traces=None,
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def run_machine(assignment, registry=None, trace=False, profiler=None):
+def run_machine(assignment, registry=None, trace=False):
     """Run one machine's campaign; returns ``(record, trace_payload)``.
     With *registry* the machine's telemetry lands there under its own
     config label; with ``trace=True`` the campaign runs under a
     :class:`~repro.trace.spans.Tracer` and the second element is its
-    exported ring buffer (else None); *profiler* arms the host
-    profiler's redundancy observatory on the machine.  None of them
-    change the digest — telemetry, tracing and profiling are
-    observe-only and charge zero cycles."""
+    exported ring buffer (else None).  Neither changes the digest —
+    telemetry and tracing are observe-only and charge zero cycles."""
     metrics = None
     if registry is not None:
         metrics = MachineMetrics(
             registry=registry,
             config=machine_label(assignment.machine_index))
-    result = run_campaign(assignment.seed, trace=trace, metrics=metrics,
-                          profiler=profiler)
+    result = run_campaign(assignment.seed, trace=trace, metrics=metrics)
     trace_doc = tracer_payload(result.tracer) if trace else None
     return machine_record(assignment, result), trace_doc
 
@@ -140,7 +137,7 @@ def run_shard(shard, emit=None, trace=False, profile=False):
     same tuple whether this runs in a worker process or inline in the
     sequential reference (*traces* is a ``machine_index -> trace
     payload`` dict with ``trace=True``, else None; *profile_doc* is the
-    shard's ``repro-profile/1`` document with ``profile=True``, else
+    shard's ``repro-profile/2`` document with ``profile=True``, else
     None — stacks are not collected in fleet mode to keep the result
     payload small).  *emit*, when given, receives the incremental event
     stream: one enriched ``heartbeat`` before each machine and one
@@ -165,7 +162,7 @@ def run_shard(shard, emit=None, trace=False, profile=False):
                       "machines_done": done,
                       "cycles": cycles_done})
             record, trace_doc = run_machine(assignment, registry=registry,
-                                            trace=trace, profiler=profiler)
+                                            trace=trace)
             records.append(record)
             cycles_done += record["cycles"]
             if trace:
@@ -185,7 +182,6 @@ def run_shard(shard, emit=None, trace=False, profile=False):
     finally:
         if profiler is not None:
             profiler.stop()
-            profiler.detach_machine()
     profile_doc = None
     if profiler is not None:
         from repro.profile.export import profile_document

@@ -45,7 +45,7 @@ the speedup ratio::
 
 ``--profile`` additionally runs the sweep under the host profiler
 (:mod:`repro.profile`) and writes ``PROF_<n>.json`` (the
-``repro-profile/1`` document) and ``PROF_<n>.folded`` (collapsed-stack
+``repro-profile/2`` document) and ``PROF_<n>.folded`` (collapsed-stack
 flamegraph input) next to the ``BENCH_<n>.json`` the run corresponds
 to.  Host time is nondeterministic, so the ``PROF_*`` sidecars never
 participate in the trajectory/golden byte-diffs — their filenames
@@ -92,9 +92,9 @@ def run_bench(iterations=DEFAULT_ITERATIONS, configs=None,
     Returns the payload dict (without a sequence number — the caller
     assigns it when writing the trajectory file).  *profiler*, when
     given, is a :class:`~repro.profile.profiler.HostProfiler`: the
-    sweep runs inside its window with the redundancy observatory bound
-    per config.  Profiling is observe-only, so the payload is
-    byte-identical with or without it (``san-profile-zero-cycles``).
+    sweep runs inside its window.  Profiling is observe-only, so the
+    payload is byte-identical with or without it
+    (``san-profile-zero-cycles``).
 
     *fastpath* forces the dispatch fast path on (True) or off (False)
     for every ARM machine in the sweep (None = machine default).
@@ -118,8 +118,6 @@ def run_bench(iterations=DEFAULT_ITERATIONS, configs=None,
             suite = make_microbench(name, costs=costs, registry=registry,
                                     fastpath=fastpath)
             machines.append(suite.machine)
-            if profiler is not None:
-                profiler.attach_machine(suite.machine, config=name)
             cells = {}
             for benchmark in MICROBENCHMARKS:
                 measured = suite.run(benchmark, iterations)
@@ -129,7 +127,6 @@ def run_bench(iterations=DEFAULT_ITERATIONS, configs=None,
     finally:
         if profiler is not None:
             profiler.stop()
-            profiler.detach_machine()
     if host_meter is not None:
         host_meter["wall_ns"] = (
             time.perf_counter_ns() - started_ns)  # lint: allow(sim-nondeterminism)
@@ -376,33 +373,29 @@ def main(argv=None, arm_costs=None, x86_costs=None):
     else:
         print("bench: OK — %d cells (not written)" % total)
         sequence = max(last_sequence, 1)
-    if profiler is not None:
-        write_profile_sidecar(profiler, payload, directory, sequence,
-                              write=write)
+    if profiler is not None and write:
+        write_profile_sidecar(profiler, payload, directory, sequence)
     return 0
 
 
-def write_profile_sidecar(profiler, payload, directory, sequence,
-                          write=True):
+def write_profile_sidecar(profiler, payload, directory, sequence):
     """The ``--profile`` sidecars: ``PROF_<n>.json`` +
     ``PROF_<n>.folded`` next to the trajectory entry the run
     corresponds to (never byte-diffed — host time is nondeterministic).
     """
     from repro.profile.export import (collapsed_stacks, profile_document,
-                                      render_redundancy, write_json)
+                                      write_json)
     document = profile_document(
         profiler, scenario="bench-%d" % sequence,
         meta={"iterations": payload["iterations"],
               "configs": sorted(payload["results"])})
-    if write:
-        json_path = Path(directory) / ("PROF_%d.json" % sequence)
-        write_json(document, json_path)
-        folded_path = Path(directory) / ("PROF_%d.folded" % sequence)
-        folded_path.write_text(collapsed_stacks(document))
-        print("bench: profile sidecar %s (+ %s; host %.1f ms, "
-              "excluded from byte-diffs)"
-              % (json_path, folded_path.name, document["wall_ns"] / 1e6))
-    print(render_redundancy(document, top=0))
+    json_path = Path(directory) / ("PROF_%d.json" % sequence)
+    write_json(document, json_path)
+    folded_path = Path(directory) / ("PROF_%d.folded" % sequence)
+    folded_path.write_text(collapsed_stacks(document))
+    print("bench: profile sidecar %s (+ %s; host %.1f ms, "
+          "excluded from byte-diffs)"
+          % (json_path, folded_path.name, document["wall_ns"] / 1e6))
     return document
 
 

@@ -84,7 +84,7 @@ class CycleLedger:
     ``"emulation"``, ``"guest"``; the totals drive Tables 1 and 6 while the
     breakdown feeds the analysis sections of EXPERIMENTS.md.
 
-    Three observe-only slots are called as ``hook(cycles, category)`` on
+    Two observe-only slots are called as ``hook(cycles, category)`` on
     every charge, and none may charge the ledger itself:
 
     * ``observer`` — the tracer (:mod:`repro.trace`), the single
@@ -93,26 +93,22 @@ class CycleLedger:
     * ``metrics_sink`` — assigned nowhere in the package: the telemetry
       registry pulls ``by_category`` at read time instead
       (:mod:`repro.metrics.instrument`).  Kept for the benchmark's
-      traced mode, which wraps the slot by name;
-    * ``profile_sink`` — the host profiler's redundancy observatory
-      (:mod:`repro.profile`), which measures this very fan-out and so is
-      excluded from its own count (``san-profile-zero-cycles``).
+      traced mode, which wraps the slot by name.
 
     The slots are property-backed: assigning one rebuilds a single
     **fused** callback, so ``charge`` pays one ``is None`` check and at
-    most one call with at most one consumer; several are called in slot
-    order (observer, metrics_sink, profile_sink).
+    most one call with one consumer; with both, they are called in slot
+    order (observer, then metrics_sink).
     """
 
     __slots__ = ("total", "by_category", "_observer", "_metrics_sink",
-                 "_profile_sink", "_fused")
+                 "_fused")
 
     def __init__(self, total=0, by_category=None):
         self.total = total
         self.by_category = {} if by_category is None else by_category
         self._observer = None
         self._metrics_sink = None
-        self._profile_sink = None
         self._fused = None
 
     # -- the fused hook chain -------------------------------------------
@@ -135,18 +131,8 @@ class CycleLedger:
         self._metrics_sink = hook
         self._rebuild_fused()
 
-    @property
-    def profile_sink(self):
-        return self._profile_sink
-
-    @profile_sink.setter
-    def profile_sink(self, hook):
-        self._profile_sink = hook
-        self._rebuild_fused()
-
     def _rebuild_fused(self):
-        hooks = tuple(hook for hook in (self._observer, self._metrics_sink,
-                                        self._profile_sink)
+        hooks = tuple(hook for hook in (self._observer, self._metrics_sink)
                       if hook is not None)
         if not hooks:
             self._fused = None

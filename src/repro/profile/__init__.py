@@ -1,28 +1,24 @@
-"""Host-time profiling and the dispatch-redundancy observatory.
+"""Host-time profiling.
 
 Everything in :mod:`repro.trace` and :mod:`repro.metrics` measures
 *virtual* cycles — the currency of the paper's tables.  This package
 measures the other budget: **host** CPU seconds per simulated machine,
 the number that decides whether a 1000-machine fleet is affordable.
 
-Two instruments, one attach point:
+:class:`~repro.profile.profiler.HostProfiler` is a
+``sys.setprofile``-based instrumenting profiler that attributes host
+wall time and call counts to the simulator's phase taxonomy (the
+dispatch fast path, trap dispatch, sysreg classification, ``ws.*``
+world-switch phases, the VNCR deferred path, hook-chain fan-out), so
+the host-time table lines up 1:1 with the virtual-cycle spans from
+``repro.trace``.  :mod:`repro.profile.export` turns a profiling window
+into a ``repro-profile/2`` document, and diffs, merges and validates
+such documents.
 
-* :class:`~repro.profile.profiler.HostProfiler` — a
-  ``sys.setprofile``-based instrumenting profiler that attributes host
-  wall time and call counts to the simulator's phase taxonomy (trap
-  dispatch, sysreg classification, ``ws.*`` world-switch phases, the
-  VNCR deferred path, hook-chain fan-out), so the host-time table lines
-  up 1:1 with the virtual-cycle spans from ``repro.trace``.
-* :class:`~repro.profile.redundancy.RedundancyObservatory` — counters
-  for work the simulator *re-derives* per access: classification
-  decisions per (config, register, context), trap-dispatch decisions,
-  and hook-chain fan-out per ledger charge.  Its report projects what a
-  precompiled dispatch table would save.
-
-Profiling is strictly observe-only: it never charges the ledger, never
-touches the registry, and the disabled path costs one ``is None`` check
-per site (``san-profile-zero-cycles`` enforces byte-identical exports).
-All state is per-instance — nothing module-level and mutable — so the
+Profiling is strictly observe-only: it installs no simulator hook,
+never charges the ledger and never touches the registry
+(``san-profile-zero-cycles`` enforces byte-identical exports).  All
+state is per-instance — nothing module-level and mutable — so the
 statecheck shardability gate stays clean.
 """
 
@@ -34,22 +30,18 @@ from repro.profile.export import (
     profile_document,
     render_diff,
     render_phase_table,
-    render_redundancy,
     validate_profile,
 )
 from repro.profile.profiler import HostProfiler
-from repro.profile.redundancy import RedundancyObservatory
 
 __all__ = [
     "PROFILE_SCHEMA",
     "HostProfiler",
-    "RedundancyObservatory",
     "collapsed_stacks",
     "diff_documents",
     "merge_profiles",
     "profile_document",
     "render_diff",
     "render_phase_table",
-    "render_redundancy",
     "validate_profile",
 ]

@@ -2,17 +2,18 @@
 
 Default run: profile a scenario (the bench sweep, or a seeded fault
 campaign with ``--scenario campaign``) and print the per-phase
-self/cumulative host-time table plus the dispatch-redundancy report.
-``--json``/``--flamegraph`` write the ``repro-profile/1`` document and
-the collapsed-stack flamegraph input.
+self/cumulative host-time table.  ``--json``/``--flamegraph`` write
+the ``repro-profile/2`` document and the collapsed-stack flamegraph
+input.
 
 Two file modes skip the scenario entirely:
 
 * ``--diff A.json B.json`` — compare two profile documents and report
-  per-phase host-time deltas and redundancy deltas (how a perf PR
-  proves its win phase by phase).
+  per-phase host-time deltas (how a perf change proves its win phase
+  by phase; diffing a ``REPRO_NO_FASTPATH=1`` profile against a
+  default one shows what the dispatch fast path moved).
 * ``--validate FILE`` — schema-check a document (the CI drift gate for
-  the redundancy report shape).
+  the document shape).
 
 Host time is nondeterministic; nothing this tool writes participates in
 golden byte-diffs, and profiling never perturbs the simulation
@@ -32,7 +33,6 @@ from repro.profile.export import (
     profile_document,
     render_diff,
     render_phase_table,
-    render_redundancy,
     validate_profile,
     write_json,
 )
@@ -42,9 +42,8 @@ from repro.profile.profiler import HostProfiler
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro profile",
-        description="host-time profiler and dispatch-redundancy "
-                    "observatory: phase tables, flamegraphs, hotspot "
-                    "diffs")
+        description="host-time profiler: phase tables, flamegraphs, "
+                    "hotspot diffs")
     parser.add_argument("--scenario", choices=("bench", "campaign"),
                         default="bench",
                         help="what to profile: the microbenchmark sweep "
@@ -63,7 +62,7 @@ def build_parser():
     parser.add_argument("--top", type=int, default=20, metavar="N",
                         help="rows in the phase table (default 20)")
     parser.add_argument("--json", metavar="FILE", default=None,
-                        help="write the repro-profile/1 document to FILE")
+                        help="write the repro-profile/2 document to FILE")
     parser.add_argument("--flamegraph", metavar="FILE", default=None,
                         help="write collapsed stacks (flamegraph.pl "
                              "input) to FILE")
@@ -114,13 +113,12 @@ def run_validate(path):
 
 def profile_scenario(args):
     """Run the chosen scenario under a fresh profiler; returns the
-    ``repro-profile/1`` document."""
+    ``repro-profile/2`` document."""
     profiler = HostProfiler()
     if args.scenario == "campaign":
         from repro.faults.campaign import run_campaign
         with profiler:
-            run_campaign(args.seed, profiler=profiler)
-        profiler.detach_machine()
+            run_campaign(args.seed)
         scenario = "campaign-seed-%d" % args.seed
         meta = {"seed": args.seed}
     else:
@@ -152,8 +150,6 @@ def main(argv=None):
 
     document = profile_scenario(args)
     print(render_phase_table(document, top=args.top))
-    print()
-    print(render_redundancy(document))
     if args.json is not None:
         write_json(document, args.json)
         print("profile: wrote %s" % args.json)

@@ -1,39 +1,28 @@
-"""Exporters for ``repro-profile/1`` documents.
+"""Exporters for ``repro-profile/2`` documents.
 
-A profile document is JSON with host-nanosecond phase accounting, the
-collapsed call stacks (flamegraph input), and the redundancy
-observatory's report.  Host time is nondeterministic by nature, so
-these documents live in ``PROF_*`` sidecar files that no golden
-byte-diff ever covers; the *shape* is contractual, though —
-:func:`validate_profile` is the schema-drift gate CI runs.
+A profile document is JSON with host-nanosecond phase accounting and
+the collapsed call stacks (flamegraph input).  Host time is
+nondeterministic by nature, so these documents live in ``PROF_*``
+sidecar files that no golden byte-diff ever covers; the *shape* is
+contractual, though — :func:`validate_profile` is the schema-drift
+gate CI runs.
 
-Also here: the human renderings (phase table, redundancy report), the
-hotspot **diff** between two documents (how a perf PR proves its win
-phase by phase), and the deterministic :func:`merge_profiles` fold the
-fleet uses to aggregate per-worker profiles.
+Also here: the human rendering of the phase table, the hotspot
+**diff** between two documents (how a perf change proves its win phase
+by phase), and the deterministic :func:`merge_profiles` fold the fleet
+uses to aggregate per-worker profiles.
 """
 
 import json
 
 from repro.profile.sites import group_for_phase
 
-PROFILE_SCHEMA = "repro-profile/1"
-DIFF_SCHEMA = "repro-profile-diff/1"
-
-#: Numeric fields every redundancy site must carry (the CI drift gate).
-SITE_FIELDS = ("derivations", "distinct_keys", "stable_keys",
-               "unstable_keys", "projected_hits", "projected_hit_rate")
-
-#: The sites a profile must always name (acceptance contract).
-REQUIRED_SITES = ("trap-dispatch", "classification", "hook-chain")
-
-#: Extra fan-out fields only the hook-chain site carries.
-HOOK_CHAIN_FIELDS = ("dispatches", "invocations",
-                     "projected_fused_savings")
+PROFILE_SCHEMA = "repro-profile/2"
+DIFF_SCHEMA = "repro-profile-diff/2"
 
 
 def profile_document(profiler, scenario, meta=None):
-    """Build the ``repro-profile/1`` document for one profiling run."""
+    """Build the ``repro-profile/2`` document for one profiling run."""
     phases = {}
     for phase, stat in sorted(profiler.phases.items()):
         phases[phase] = {
@@ -50,7 +39,6 @@ def profile_document(profiler, scenario, meta=None):
         "wall_ns": profiler.wall_ns,
         "phases": phases,
         "stacks": stacks,
-        "redundancy": profiler.redundancy.report(),
     }
     if meta:
         document["meta"] = dict(meta)
@@ -58,52 +46,41 @@ def profile_document(profiler, scenario, meta=None):
 
 
 def validate_profile(document):
-    """Schema check; returns a list of problems (empty means valid)."""
-    problems = []
+    """Schema check; returns a list of problems (empty means valid).
+
+    Never raises on malformed input.  A document of another schema
+    yields the single schema problem: its fields mean something else.
+    """
     if not isinstance(document, dict):
         return ["document is not a JSON object"]
     if document.get("schema") != PROFILE_SCHEMA:
-        problems.append("schema is %r, want %r"
-                        % (document.get("schema"), PROFILE_SCHEMA))
+        return ["schema is %r, want %r"
+                % (document.get("schema"), PROFILE_SCHEMA)]
+    problems = []
     if not isinstance(document.get("wall_ns"), int):
         problems.append("wall_ns missing or not an integer")
     phases = document.get("phases")
     if not isinstance(phases, dict):
-        problems.append("phases missing")
+        problems.append("phases missing or not an object")
     else:
         for phase, entry in sorted(phases.items()):
+            if not isinstance(entry, dict):
+                problems.append("phase %s: not an object" % phase)
+                continue
             for fieldname in ("calls", "self_ns", "cum_ns"):
                 if not isinstance(entry.get(fieldname), int):
                     problems.append("phase %s: missing %s"
                                     % (phase, fieldname))
             if not isinstance(entry.get("group"), str):
                 problems.append("phase %s: missing group" % phase)
-    if not isinstance(document.get("stacks"), dict):
-        problems.append("stacks missing")
-    sites = (document.get("redundancy") or {}).get("sites")
-    if not isinstance(sites, dict):
-        problems.append("redundancy.sites missing")
-        return problems
-    for site in REQUIRED_SITES:
-        entry = sites.get(site)
-        if not isinstance(entry, dict):
-            problems.append("redundancy site %r missing" % site)
-            continue
-        for fieldname in SITE_FIELDS:
-            if not isinstance(entry.get(fieldname), (int, float)):
-                problems.append("redundancy site %s: missing %s"
-                                % (site, fieldname))
-        if not isinstance(entry.get("top"), list):
-            problems.append("redundancy site %s: missing top" % site)
-    hook_chain = sites.get("hook-chain")
-    if isinstance(hook_chain, dict):
-        for fieldname in HOOK_CHAIN_FIELDS:
-            if not isinstance(hook_chain.get(fieldname), int):
-                problems.append("redundancy site hook-chain: missing %s"
-                                % fieldname)
-        if not isinstance(hook_chain.get("per_hook"), dict):
-            problems.append("redundancy site hook-chain: missing "
-                            "per_hook")
+    stacks = document.get("stacks")
+    if not isinstance(stacks, dict):
+        problems.append("stacks missing or not an object")
+    else:
+        for stack, ns in sorted(stacks.items()):
+            if not isinstance(ns, int):
+                problems.append("stack %s: weight %r is not an integer"
+                                % (stack, ns))
     return problems
 
 
@@ -140,50 +117,17 @@ def render_phase_table(document, top=None):
     return "\n".join(lines)
 
 
-def render_redundancy(document, top=5):
-    """The redundancy report: per-site re-derivation counts and the
-    projected dispatch-table hit rates."""
-    sites = document.get("redundancy", {}).get("sites", {})
-    lines = ["redundancy observatory (what a precompiled dispatch "
-             "table would save):"]
-    for site in REQUIRED_SITES:
-        entry = sites.get(site)
-        if entry is None:
-            lines.append("  %s: (no data)" % site)
-            continue
-        lines.append(
-            "  %-16s %8d decisions re-derived over %d distinct keys "
-            "(%d stable); projected table hits: %d (%.1f%% hit rate)"
-            % (site, entry["derivations"], entry["distinct_keys"],
-               entry["stable_keys"], entry["projected_hits"],
-               100.0 * entry["projected_hit_rate"]))
-        for item in entry.get("top", [])[:top]:
-            lines.append("    %7dx %-52s -> %s%s"
-                         % (item["count"], item["key"], item["outcome"],
-                            "" if item["stable"] else " (UNSTABLE)"))
-        if site == "hook-chain":
-            lines.append(
-                "    fan-out: %d hook invocations over %d dispatches "
-                "(per hook: %s); fusing the chain would save %d calls"
-                % (entry.get("invocations", 0),
-                   entry.get("dispatches", 0),
-                   ", ".join("%s=%d" % kv for kv in sorted(
-                       entry.get("per_hook", {}).items())) or "none",
-                   entry.get("projected_fused_savings", 0)))
-    return "\n".join(lines)
-
-
 # -- the hotspot diff ----------------------------------------------------
 
 def diff_documents(before, after):
     """Compare two profile documents; returns the
-    ``repro-profile-diff/1`` document with per-phase host-time deltas
-    and per-site redundancy deltas."""
+    ``repro-profile-diff/2`` document with per-phase host-time
+    deltas."""
     for name, document in (("before", before), ("after", after)):
         problems = validate_profile(document)
         if problems:
-            raise ValueError("%s document is not repro-profile/1: %s"
-                             % (name, "; ".join(problems)))
+            raise ValueError("%s document is not %s: %s"
+                             % (name, PROFILE_SCHEMA, "; ".join(problems)))
     phases = {}
     names = set(before["phases"]) | set(after["phases"])
     empty = {"calls": 0, "self_ns": 0, "cum_ns": 0}
@@ -195,21 +139,6 @@ def diff_documents(before, after):
                         "delta": a[fieldname] - b[fieldname]}
             for fieldname in ("calls", "self_ns", "cum_ns")
         }
-    sites = {}
-    before_sites = before["redundancy"]["sites"]
-    after_sites = after["redundancy"]["sites"]
-    for site in sorted(set(before_sites) | set(after_sites)):
-        b = before_sites.get(site, {})
-        a = after_sites.get(site, {})
-        entry = {}
-        for fieldname in SITE_FIELDS + HOOK_CHAIN_FIELDS:
-            if fieldname not in b and fieldname not in a:
-                continue
-            bval = b.get(fieldname, 0)
-            aval = a.get(fieldname, 0)
-            entry[fieldname] = {"before": bval, "after": aval,
-                                "delta": aval - bval}
-        sites[site] = entry
     return {
         "schema": DIFF_SCHEMA,
         "scenarios": {"before": before.get("scenario"),
@@ -218,7 +147,6 @@ def diff_documents(before, after):
                     "after": after["wall_ns"],
                     "delta": after["wall_ns"] - before["wall_ns"]},
         "phases": phases,
-        "redundancy": {"sites": sites},
     }
 
 
@@ -243,21 +171,6 @@ def render_diff(diff, top=20):
                      % (phase, self_ns["before"] / 1e6,
                         self_ns["after"] / 1e6, self_ns["delta"] / 1e6,
                         entry["calls"]["delta"]))
-    lines.append("")
-    lines.append("redundancy deltas:")
-    for site, entry in sorted(diff["redundancy"]["sites"].items()):
-        if "derivations" not in entry:
-            continue
-        derivations = entry["derivations"]
-        hits = entry.get("projected_hits", {"delta": 0})
-        rate = entry.get("projected_hit_rate",
-                         {"before": 0.0, "after": 0.0})
-        lines.append(
-            "  %-16s derivations %+d (now %d), projected hits %+d, "
-            "hit rate %.1f%% -> %.1f%%"
-            % (site, derivations["delta"], derivations["after"],
-               hits["delta"], 100.0 * rate["before"],
-               100.0 * rate["after"]))
     return "\n".join(lines)
 
 
@@ -266,12 +179,10 @@ def render_diff(diff, top=20):
 def merge_profiles(documents, scenario=None):
     """Deterministically fold per-worker profile documents into one.
 
-    Pure function of the input sequence: phase times, stack weights and
-    redundancy counters add; rates are recomputed from the merged
-    counts.  The fleet merge calls this in shard-id order, so the
-    aggregate is as order-blind as the rest of the merged exports.
-    Fleet machines carry disjoint config labels, which keeps the
-    summed distinct/stable key counts exact.
+    Pure function of the input sequence: wall time, phase times and
+    stack weights add.  The fleet merge calls this in shard-id order,
+    so the aggregate is as order-blind as the rest of the merged
+    exports.
     """
     documents = [doc for doc in documents if doc is not None]
     if not documents:
@@ -279,8 +190,6 @@ def merge_profiles(documents, scenario=None):
     phases = {}
     stacks = {}
     wall_ns = 0
-    sites = {}
-    per_hook = {}
     scenarios = []
     for document in documents:
         problems = validate_profile(document)
@@ -297,42 +206,6 @@ def merge_profiles(documents, scenario=None):
                 merged[fieldname] += entry[fieldname]
         for stack, ns in document.get("stacks", {}).items():
             stacks[stack] = stacks.get(stack, 0) + ns
-        for site, entry in document["redundancy"]["sites"].items():
-            merged = sites.setdefault(
-                site, {fieldname: 0 for fieldname in SITE_FIELDS})
-            for fieldname in SITE_FIELDS:
-                if fieldname == "projected_hit_rate":
-                    continue
-                merged[fieldname] += entry.get(fieldname, 0)
-            for fieldname in HOOK_CHAIN_FIELDS:
-                if fieldname in entry:
-                    merged[fieldname] = (merged.get(fieldname, 0)
-                                         + entry[fieldname])
-            for hook, count in entry.get("per_hook", {}).items():
-                per_hook[hook] = per_hook.get(hook, 0) + count
-            tops = merged.setdefault("_top", {})
-            for item in entry.get("top", []):
-                slot = tops.setdefault(
-                    item["key"], {"count": 0, "outcome": item["outcome"],
-                                  "stable": True})
-                slot["count"] += item["count"]
-                if not item["stable"] \
-                        or slot["outcome"] != item["outcome"]:
-                    slot["stable"] = False
-    for site, merged in sites.items():
-        derivations = merged["derivations"]
-        merged["projected_hit_rate"] = (
-            merged["projected_hits"] / derivations if derivations
-            else 0.0)
-        tops = merged.pop("_top", {})
-        ranked = sorted(tops.items(),
-                        key=lambda item: (-item[1]["count"], item[0]))
-        merged["top"] = [{"key": key, "count": slot["count"],
-                          "outcome": slot["outcome"],
-                          "stable": slot["stable"]}
-                         for key, slot in ranked[:10]]
-        if site == "hook-chain":
-            merged["per_hook"] = dict(sorted(per_hook.items()))
     if scenario is None:
         scenario = "merge(%d profiles)" % len(documents)
     return {
@@ -341,7 +214,6 @@ def merge_profiles(documents, scenario=None):
         "wall_ns": wall_ns,
         "phases": dict(sorted(phases.items())),
         "stacks": dict(sorted(stacks.items())),
-        "redundancy": {"sites": sites},
         "meta": {"merged": len(documents), "scenarios": scenarios},
     }
 

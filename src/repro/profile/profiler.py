@@ -2,10 +2,9 @@
 
 One :class:`HostProfiler` instance owns all state for one profiling
 window: per-phase self/cumulative nanoseconds and call counts, the
-collapsed call-stack weights the flamegraph export renders, and a
-:class:`~repro.profile.redundancy.RedundancyObservatory` for the
-dispatch-redundancy counters.  Nothing is module-level and mutable, so
-the statecheck shardability gate stays clean.
+collapsed call-stack weights the flamegraph export renders.  Nothing
+is module-level and mutable, so the statecheck shardability gate stays
+clean.
 
 Attribution model: every Python frame maps to a **phase** through the
 site table (:mod:`repro.profile.sites`); unmatched frames inherit their
@@ -16,17 +15,15 @@ count).  The profiler reads the wall clock — host time is the thing
 being measured — which is exactly why its output lives in ``PROF_*``
 sidecars and never inside a golden-diffed document.
 
-The simulation contract is absolute: the profiler never charges the
-ledger, never touches a registry, and detaches cleanly.  With it
-disabled every hook site costs one ``is None`` check
-(``san-profile-zero-cycles``); with it enabled the *virtual* results
-are byte-identical — only host wall time changes.
+The simulation contract is absolute: the profiler installs no
+simulator hook, never charges the ledger and never touches a registry.
+With it enabled the *virtual* results are byte-identical — only host
+wall time changes (``san-profile-zero-cycles``).
 """
 
 import sys
 import time
 
-from repro.profile.redundancy import RedundancyObservatory
 from repro.profile.sites import phase_for_code
 
 #: Collapsed stacks deeper than this reuse their parent's stack key;
@@ -65,15 +62,12 @@ class HostProfiler:
     Use as a context manager around the scenario::
 
         profiler = HostProfiler()
-        profiler.attach_machine(machine, config="neve-nested")
         with profiler:
             ... run the scenario ...
         document = profile_document(profiler, scenario="...")
 
-    ``attach_machine`` arms the redundancy observatory's hot-path notes
-    (``cpu.redundancy`` + ``ledger.profile_sink``); entering the context
-    installs the ``sys.setprofile`` callback.  Either instrument works
-    without the other.
+    Entering the context installs the ``sys.setprofile`` callback and
+    leaving it removes the callback; nothing on the machine changes.
     """
 
     def __init__(self, collect_stacks=True, clock_ns=None):
@@ -84,40 +78,11 @@ class HostProfiler:
         self.collect_stacks = collect_stacks
         self.phases = {}  # phase -> PhaseStat
         self.stacks = {}  # tuple of frame labels -> self ns
-        self.redundancy = RedundancyObservatory()
         self.wall_ns = 0
         self._code_info = {}  # code object -> (phase or None, label)
         self._frames = []
         self._last_ns = 0
         self._active = False
-        self._attached = []  # (obj, attr, previous) for detach
-
-    # -- machine attachment (redundancy observatory) --------------------
-
-    def attach_machine(self, machine, config="machine"):
-        """Arm the redundancy notes on *machine*'s CPUs and ledger.
-
-        Observe-only: records the previous hook values and restores
-        them on :meth:`detach_machine`.  Works for any machine exposing
-        ``cpus`` and ``ledger`` (the x86 model has no classification
-        sites, so only its ledger fan-out is observed there).
-        """
-        binding = self.redundancy.bind(config, ledger=machine.ledger)
-        for cpu in getattr(machine, "cpus", ()):
-            self._attached.append((cpu, "redundancy",
-                                   getattr(cpu, "redundancy", None)))
-            cpu.redundancy = binding
-        ledger = machine.ledger
-        self._attached.append((ledger, "profile_sink",
-                               ledger.profile_sink))
-        ledger.profile_sink = binding.on_charge
-        return binding
-
-    def detach_machine(self, machine=None):
-        """Restore every hook :meth:`attach_machine` replaced."""
-        for obj, attr, previous in reversed(self._attached):
-            setattr(obj, attr, previous)
-        self._attached = []
 
     # -- the profiling window -------------------------------------------
 

@@ -76,9 +76,9 @@ SITE_RULES = (
     ("repro/fleet/", None, "fleet"),
 )
 
-#: Phase prefix -> report group.  The redundancy report and the phase
-#: table group rows by these so "where do host seconds go" reads at a
-#: glance (trap dispatch vs. classification vs. world switch vs. hooks).
+#: Phase prefix -> report group.  The phase table groups rows by these
+#: so "where do host seconds go" reads at a glance (trap dispatch vs.
+#: classification vs. world switch vs. hooks).
 PHASE_GROUPS = (
     ("dispatch.", "dispatch-table"),
     ("trap.", "trap-dispatch"),

@@ -126,7 +126,6 @@ def test_profile_run_folds_a_fleet_wide_profile(tmp_path, capsys):
     assert "replays to the live accounting" in captured
     assert "machine lanes" in captured
     assert "shards folded" in captured
-    assert "redundancy observatory" in captured
     assert (journal_dir / cli.FLIGHT_JOURNAL).exists()
     assert trace_file.exists()
     from repro.profile.export import validate_profile

@@ -173,7 +173,6 @@ class TestProfileSidecar:
         assert bench.main(self._args(tmp_path, profile=True)) == 0
         out = capsys.readouterr().out
         assert "profile sidecar" in out
-        assert "redundancy observatory" in out
         from repro.profile.export import validate_profile
         document = json.loads((tmp_path / "PROF_1.json").read_text())
         assert validate_profile(document) == []

@@ -25,14 +25,55 @@ class TestValidateMode:
     def test_valid_document_exits_zero(self, tmp_path, capsys):
         path = _write(tmp_path, "a.json", build_document())
         assert cli.main(["--validate", path]) == 0
-        assert "valid repro-profile/1" in capsys.readouterr().out
+        assert "valid repro-profile/2" in capsys.readouterr().out
 
     def test_schema_drift_exits_one_and_names_it(self, tmp_path, capsys):
         document = build_document()
-        del document["redundancy"]["sites"]["hook-chain"]
+        del document["phases"]["trap.dispatch"]["cum_ns"]
         path = _write(tmp_path, "bad.json", document)
         assert cli.main(["--validate", path]) == 1
-        assert "SCHEMA DRIFT" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "SCHEMA DRIFT" in out
+        assert "phase trap.dispatch: missing cum_ns" in out
+
+    def _drift(self, tmp_path, capsys, document):
+        """Validate *document*; returns the drift lines it printed."""
+        path = _write(tmp_path, "bad.json", document)
+        assert cli.main(["--validate", path]) == 1
+        return capsys.readouterr().out.splitlines()
+
+    def test_non_object_phase_entry_is_drift_not_a_crash(
+            self, tmp_path, capsys):
+        document = build_document()
+        document["phases"]["x"] = 5
+        lines = self._drift(tmp_path, capsys, document)
+        assert lines == ["profile: SCHEMA DRIFT in %s: phase x: not an "
+                         "object" % (tmp_path / "bad.json")]
+
+    def test_non_object_stacks_is_drift_not_a_crash(self, tmp_path,
+                                                      capsys):
+        document = build_document()
+        document["stacks"] = ["cpu:_trap 15"]
+        lines = self._drift(tmp_path, capsys, document)
+        assert len(lines) == 1
+        assert lines[0].endswith("stacks missing or not an object")
+
+    def test_non_integer_stack_weight_is_drift(self, tmp_path, capsys):
+        document = build_document()
+        document["stacks"]["cpu:_trap"] = 1.5
+        lines = self._drift(tmp_path, capsys, document)
+        assert len(lines) == 1
+        assert lines[0].endswith(
+            "stack cpu:_trap: weight 1.5 is not an integer")
+
+    def test_old_schema_is_one_line_naming_the_new_one(self, tmp_path,
+                                                        capsys):
+        document = build_document()
+        document["schema"] = "repro-profile/1"
+        document["redundancy"] = {"sites": {}}
+        lines = self._drift(tmp_path, capsys, document)
+        assert len(lines) == 1
+        assert "want 'repro-profile/2'" in lines[0]
 
     def test_unreadable_file_exits_one(self, tmp_path):
         assert cli.main(["--validate", str(tmp_path / "nope.json")]) == 1
@@ -48,7 +89,7 @@ class TestDiffMode:
         out = capsys.readouterr().out
         assert "profile diff: before -> after" in out
         assert "trap.dispatch" in out
-        assert "redundancy deltas:" in out
+        assert "redundancy" not in out
 
     def test_diff_of_invalid_document_exits_one(self, tmp_path, capsys):
         broken = build_document()
@@ -56,6 +97,28 @@ class TestDiffMode:
         a = _write(tmp_path, "a.json", broken)
         b = _write(tmp_path, "b.json", build_document())
         assert cli.main(["--diff", a, b]) == 1
+
+    def test_diff_of_malformed_phase_entry_exits_one(self, tmp_path,
+                                                       capsys):
+        broken = build_document()
+        broken["phases"]["x"] = 5
+        a = _write(tmp_path, "a.json", build_document())
+        b = _write(tmp_path, "b.json", broken)
+        assert cli.main(["--diff", a, b]) == 1
+        assert "phase x: not an object" in capsys.readouterr().err
+
+    def test_diff_of_old_schema_is_one_line_naming_the_new_one(
+            self, tmp_path, capsys):
+        old = build_document()
+        old["schema"] = "repro-profile/1"
+        a = _write(tmp_path, "a.json", old)
+        b = _write(tmp_path, "b.json", build_document())
+        assert cli.main(["--diff", a, b]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "want 'repro-profile/2'" in lines[0]
 
 
 def test_unknown_config_exits_two(capsys):
@@ -71,7 +134,8 @@ def test_campaign_scenario_end_to_end(tmp_path, capsys):
                        "--flamegraph", str(folded_path)])
     assert status == 0
     out = capsys.readouterr().out
-    assert "redundancy observatory" in out
+    assert "scenario: campaign-seed-0" in out
+    assert "redundancy" not in out
     document = json.loads(json_path.read_text())
     assert validate_profile(document) == []
     assert document["scenario"] == "campaign-seed-0"

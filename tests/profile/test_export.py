@@ -1,4 +1,4 @@
-"""repro-profile/1 exporters: schema gate, diff, merge, renderings."""
+"""repro-profile/2 exporters: schema gate, diff, merge, renderings."""
 
 import json
 
@@ -11,28 +11,21 @@ from repro.profile.export import (
     profile_document,
     render_diff,
     render_phase_table,
-    render_redundancy,
     validate_profile,
     write_json,
 )
 from repro.profile.profiler import HostProfiler
 
 from tests.profile.test_profiler import TRAP, FakeClock
-from tests.profile.test_redundancy import FakeEnc, FakeLedger
 
 
-def build_document(scenario="unit", trap_ns=15, classifications=1):
-    """A small but fully real document: the profiler and observatory
-    are driven by hand, then exported through the production builder."""
+def build_document(scenario="unit", trap_ns=15):
+    """A small but fully real document: the profiler is driven by
+    hand, then exported through the production builder."""
     clock = FakeClock()
     profiler = HostProfiler(clock_ns=clock)
     profiler._active = True
     profiler._last_ns = 0
-    binding = profiler.redundancy.bind("cfg", ledger=FakeLedger())
-    for _ in range(classifications):
-        binding.note_classification("el1", "HCR_EL2", FakeEnc("MRS"),
-                                    False, "direct")
-    binding.on_charge(1, "trap")
     profiler._callback(TRAP, "call", None)
     clock.now = trap_ns
     profiler._callback(TRAP, "return", None)
@@ -42,19 +35,10 @@ def build_document(scenario="unit", trap_ns=15, classifications=1):
 
 class TestValidate:
     def test_real_document_is_valid(self):
-        assert validate_profile(build_document()) == []
-
-    def test_missing_site_is_schema_drift(self):
         document = build_document()
-        del document["redundancy"]["sites"]["trap-dispatch"]
-        problems = validate_profile(document)
-        assert any("trap-dispatch" in problem for problem in problems)
-
-    def test_missing_hook_chain_fanout_is_schema_drift(self):
-        document = build_document()
-        del document["redundancy"]["sites"]["hook-chain"]["per_hook"]
-        assert any("per_hook" in problem
-                   for problem in validate_profile(document))
+        assert validate_profile(document) == []
+        assert sorted(document) == ["phases", "scenario", "schema",
+                                    "stacks", "wall_ns"]
 
     def test_non_integer_wall_is_schema_drift(self):
         document = build_document()
@@ -74,28 +58,21 @@ class TestRenderings:
         assert "trap.dispatch" in table
         assert "trap-dispatch" in table  # the group column
 
-    def test_redundancy_report_names_sites_and_hit_rates(self):
-        text = render_redundancy(build_document(classifications=4))
-        for site in ("classification", "trap-dispatch", "hook-chain"):
-            assert site in text
-        assert "hit rate" in text
-        assert "75.0%" in text  # 3 of 4 derivations would hit
-
 
 class TestDiff:
-    def test_diff_reports_per_phase_and_per_site_deltas(self):
-        before = build_document(trap_ns=10, classifications=1)
-        after = build_document(trap_ns=45, classifications=3)
+    def test_diff_reports_per_phase_deltas(self):
+        before = build_document(trap_ns=10)
+        after = build_document(trap_ns=45)
         diff = diff_documents(before, after)
-        assert diff["schema"] == "repro-profile-diff/1"
+        assert diff["schema"] == "repro-profile-diff/2"
         phase = diff["phases"]["trap.dispatch"]["self_ns"]
         assert (phase["before"], phase["after"], phase["delta"]) \
             == (10, 45, 35)
-        site = diff["redundancy"]["sites"]["classification"]["derivations"]
-        assert site["delta"] == 2
+        assert diff["phases"]["trap.dispatch"]["calls"]["delta"] == 0
+        assert "redundancy" not in diff
         rendered = render_diff(diff)
         assert "trap.dispatch" in rendered
-        assert "classification" in rendered
+        assert "redundancy" not in rendered
 
     def test_diff_refuses_invalid_documents(self):
         bad = build_document()
@@ -106,17 +83,15 @@ class TestDiff:
 
 class TestMerge:
     def test_merge_sums_everything_and_revalidates(self):
-        a = build_document(scenario="w0", trap_ns=10, classifications=2)
-        b = build_document(scenario="w1", trap_ns=30, classifications=1)
+        a = build_document(scenario="w0", trap_ns=10)
+        b = build_document(scenario="w1", trap_ns=30)
         merged = merge_profiles([a, b], scenario="fleet")
         assert validate_profile(merged) == []
         assert merged["scenario"] == "fleet"
         assert merged["wall_ns"] == a["wall_ns"] + b["wall_ns"]
         assert merged["phases"]["trap.dispatch"]["self_ns"] == 40
+        assert merged["phases"]["trap.dispatch"]["calls"] == 2
         assert merged["stacks"]["cpu:_trap"] == 40
-        classification = merged["redundancy"]["sites"]["classification"]
-        assert classification["derivations"] == 3
-        assert classification["projected_hits"] == 1  # 2+1 on one key
         assert merged["meta"] == {"merged": 2, "scenarios": ["w0", "w1"]}
 
     def test_merge_is_deterministic_for_the_same_sequence(self):
@@ -128,7 +103,7 @@ class TestMerge:
         with pytest.raises(ValueError):
             merge_profiles([])
         broken = build_document()
-        del broken["redundancy"]
+        del broken["stacks"]
         with pytest.raises(ValueError):
             merge_profiles([build_document(), broken])
 

@@ -1,5 +1,5 @@
-"""HostProfiler: phase attribution, window semantics, zero-cycle
-contract and clean attach/detach."""
+"""HostProfiler: phase attribution, window semantics, the zero-cycle
+contract, and a window that leaves the machine's hooks untouched."""
 
 import pytest
 
@@ -135,7 +135,7 @@ class TestWindow:
         assert not profiler._active
 
 
-def _scenario(attach):
+def _scenario(profiled):
     from repro.harness.configs import ALL_CONFIGS, arm_arch_for
     from repro.hypervisor.kvm import Machine
     from repro.metrics.cycles import ARM_COSTS
@@ -143,29 +143,27 @@ def _scenario(attach):
     machine = Machine(arch=arm_arch_for(ALL_CONFIGS["neve-nested"]),
                       costs=ARM_COSTS)
     profiler = None
-    if attach:
+    if profiled:
         profiler = HostProfiler()
-        profiler.attach_machine(machine, config="neve-nested")
         profiler.start()
     vm = machine.kvm.create_vm(num_vcpus=1, nested="neve")
     machine.kvm.boot_nested(vm.vcpus[0])
     vm.vcpus[0].cpu.hvc(0)
-    if attach:
+    if profiled:
         profiler.stop()
-        profiler.detach_machine()
     return machine, profiler
 
 
 class TestOnTheSimulator:
     def test_profiling_is_invisible_to_the_simulation(self):
-        bare, _ = _scenario(attach=False)
-        profiled, profiler = _scenario(attach=True)
+        bare, _ = _scenario(profiled=False)
+        profiled, profiler = _scenario(profiled=True)
         assert profiled.ledger.total == bare.ledger.total
         assert profiled.traps.total == bare.traps.total
         assert profiled.traps.by_reason == bare.traps.by_reason
 
     def test_scenario_attributes_to_the_simulator_taxonomy(self):
-        _, profiler = _scenario(attach=True)
+        _, profiler = _scenario(profiled=True)
         assert profiler.wall_ns > 0
         assert profiler.phases["trap.dispatch"].calls > 0
         assert profiler.phases["classify.sysreg_access"].calls > 0
@@ -175,34 +173,34 @@ class TestOnTheSimulator:
             <= profiler.wall_ns
         assert profiler.stacks
 
-    def test_scenario_feeds_the_redundancy_observatory(self):
-        _, profiler = _scenario(attach=True)
-        observatory = profiler.redundancy
-        assert observatory.classification.derivations > 0
-        assert observatory.trap_dispatch.derivations > 0
-        assert observatory.hook_chain.derivations > 0
-
-    def test_detach_restores_every_hook(self):
-        machine, _ = _scenario(attach=True)
-        assert machine.ledger.profile_sink is None
-        assert all(cpu.redundancy is None for cpu in machine.cpus)
-
-    def test_pulled_metrics_leave_the_charge_chain_unarmed(self):
-        # Telemetry is served to the registry at read time, so a metered
-        # machine's ledger charges dispatch to no consumer.
+    def test_window_leaves_every_machine_hook_as_it_found_it(self):
+        # The profiler observes through sys.setprofile alone: a metered,
+        # traced machine keeps its charge chain and per-CPU hooks.
         from repro.harness.configs import make_microbench
         from repro.metrics.registry import MetricsRegistry
+        from repro.trace.spans import Tracer
 
         suite = make_microbench("neve-nested", registry=MetricsRegistry())
+        machine = suite.machine
+        # Telemetry is pulled at read time: metering alone leaves the
+        # charge chain unarmed.
+        assert machine.ledger._fused is None
+        Tracer().attach_machine(machine)
+
+        def hooks():
+            return (machine.ledger._fused,
+                    [(cpu.tracer, cpu.metrics) for cpu in machine.cpus])
+
+        before = hooks()
+        assert before[0] is not None
+        assert all(tracer is not None and metrics is not None
+                   for tracer, metrics in before[1])
         profiler = HostProfiler()
-        profiler.attach_machine(suite.machine, config="neve-nested")
-        suite.run("hypercall", 1)
-        profiler.detach_machine()
-        observatory = profiler.redundancy
-        charges = sum(count for key, count
-                      in observatory.hook_chain._counts.items()
-                      if key[1] == "ledger.charge")
-        assert charges > 0
-        assert {key[2] for key in observatory.hook_chain._counts
-                if key[1] == "ledger.charge"} == {"none"}
-        assert "metrics_sink" not in observatory.per_hook
+        with profiler:
+            assert hooks() == before
+            suite.run("hypercall", 1)
+        assert profiler.phases["trap.dispatch"].calls > 0
+        after = hooks()
+        assert after[0] is before[0]
+        assert all(a[0] is b[0] and a[1] is b[1]
+                   for a, b in zip(after[1], before[1]))
