@@ -94,14 +94,14 @@ def build_parser():
     return parser
 
 
-def _run_statecheck(args, findings, passes):
+def _run_statecheck(args, baseline, findings, passes):
     """The shared-state passes; returns the ShardabilityReport."""
     from repro.analysis.statecheck import (
         check_shardability,
         run_shared_state_check,
         write_baseline,
     )
-    report = check_shardability()
+    report = check_shardability(baseline=baseline)
     if args.update_statecheck_baseline:
         path = write_baseline(report.findings)
         print("statecheck: baseline rewritten with %d suppression(s): %s"
@@ -115,11 +115,16 @@ def _run_statecheck(args, findings, passes):
                    % (len(report.objects),
                       len(report.baselined_findings)),
                    len(report.new_findings)))
-    shared = run_shared_state_check(objects=report.objects)
-    findings.extend(shared.violations)
-    passes.append(("shared-state[%d checks]" % shared.checks,
-                   len(shared.violations)))
+    _record("shared-state", run_shared_state_check(objects=report.objects),
+            findings, passes)
     return report
+
+
+def _record(name, report, findings, passes):
+    """Fold one runtime gate's :class:`SanitizerReport` into the run."""
+    findings.extend(report.violations)
+    passes.append(("%s[%d checks]" % (name, report.checks),
+                   len(report.violations)))
 
 
 def main(argv=None):
@@ -131,21 +136,25 @@ def main(argv=None):
                   file=sys.stderr)
         return 2
 
+    baseline = None
+    if args.statecheck or not args.no_statecheck:
+        from repro.analysis.statecheck import load_baseline
+        try:
+            # A rewrite needs no readable old baseline.
+            baseline = (set() if args.update_statecheck_baseline
+                        else load_baseline())
+        except ValueError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+
     findings = []
     passes = []
 
     if args.statecheck:
         # Report mode: only the shared-state passes, full rendering.
-        report = _run_statecheck(args, findings, passes)
+        report = _run_statecheck(args, baseline, findings, passes)
         print(report.render())
-        for finding in findings:
-            print(finding.format())
-        if not args.quiet:
-            detail = ", ".join("%s: %d" % item for item in passes)
-            verdict = "clean" if not findings else \
-                "%d finding(s)" % len(findings)
-            print("repro lint: %s (%s)" % (verdict, detail))
-        return 1 if findings else 0
+        return _verdict(args, findings, passes)
 
     if not args.no_spec:
         from repro.analysis.spec import check_spec
@@ -160,19 +169,12 @@ def main(argv=None):
         findings.extend(lint_findings)
         passes.append(("lint", len(lint_findings)))
 
+    from repro.analysis import sanitizer
     if not args.no_sanitize:
-        from repro.analysis.sanitizer import run_sanitized_scenario
-        report = run_sanitized_scenario()
-        findings.extend(report.violations)
-        passes.append(("sanitizer[%d checks]" % report.checks,
-                       len(report.violations)))
-
+        _record("sanitizer", sanitizer.run_sanitized_scenario(),
+                findings, passes)
     if not args.no_metrics:
-        from repro.analysis.sanitizer import run_metrics_checks
-        report = run_metrics_checks()
-        findings.extend(report.violations)
-        passes.append(("metrics[%d checks]" % report.checks,
-                       len(report.violations)))
+        _record("metrics", sanitizer.run_metrics_checks(), findings, passes)
 
     if not args.no_docs:
         from repro.analysis.doclint import check_docs
@@ -181,29 +183,22 @@ def main(argv=None):
         passes.append(("docs", len(doc_findings)))
 
     if not args.no_fleet:
-        from repro.analysis.sanitizer import check_fleet_merge
-        report = check_fleet_merge()
-        findings.extend(report.violations)
-        passes.append(("fleet-merge[%d checks]" % report.checks,
-                       len(report.violations)))
-
+        _record("fleet-merge", sanitizer.check_fleet_merge(),
+                findings, passes)
     if not args.no_profile:
-        from repro.analysis.sanitizer import check_profile_zero_cycles
-        report = check_profile_zero_cycles()
-        findings.extend(report.violations)
-        passes.append(("profile-zero-cycles[%d checks]" % report.checks,
-                       len(report.violations)))
-
+        _record("profile-zero-cycles", sanitizer.check_profile_zero_cycles(),
+                findings, passes)
     if not args.no_fastpath:
-        from repro.analysis.sanitizer import check_fastpath_parity
-        report = check_fastpath_parity()
-        findings.extend(report.violations)
-        passes.append(("fastpath-parity[%d checks]" % report.checks,
-                       len(report.violations)))
+        _record("fastpath-parity", sanitizer.check_fastpath_parity(),
+                findings, passes)
 
     if not args.no_statecheck:
-        _run_statecheck(args, findings, passes)
+        _run_statecheck(args, baseline, findings, passes)
+    return _verdict(args, findings, passes)
 
+
+def _verdict(args, findings, passes):
+    """Print the findings and the per-pass summary; the exit status."""
     for finding in findings:
         print(finding.format())
     if not args.quiet:

@@ -22,9 +22,17 @@ immediately with ``strict=True``).  Attach with::
     with sanitized(cpus=machine.cpus, runners=[vcpu.neve]) as report:
         ... run the scenario ...
     report.assert_clean()
+
+The run-twice gates (``san-metrics-ledger``, ``san-profile-zero-cycles``,
+``san-fastpath-parity``, ``san-fleet-merge`` and the statecheck's
+``san-shared-state``) share one differential harness: :func:`_scenario`
+builds the run, :func:`exports` / :func:`merge_exports` reduce it to a
+bundle of canonical exports, and :func:`differential` compares two
+bundles key by key.
 """
 
-from contextlib import contextmanager
+import json
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from repro.analysis.base import Finding
@@ -237,57 +245,112 @@ def check_trace_reconciliation(tracer, report=None):
     return report
 
 
-def run_sanitized_scenario(modes=("nv", "neve"), hypercalls=2):
-    """Run the exit-multiplication scenario (examples/
-    exit_multiplication.py) under the sanitizer: boot a nested VM on the
-    ARMv8.3 and NEVE models and drive L2 hypercalls end to end.
+def _scenario(mode, hypercalls, observed=True, fastpath=None,
+              guest_vhe=False, window=None):
+    """Boot a nested VM on the ARMv8.3 (``"nv"``) or NEVE model and
+    drive *hypercalls* L2 hypercalls; returns ``(machine, metrics,
+    tracer)``, the last two None unless *observed*.
 
-    Returns the combined :class:`SanitizerReport`; a clean report means
-    every register access the full hypervisor stack performed resolved
-    exactly as the specification tables demand.
-    """
-    from repro.harness.configs import ALL_CONFIGS, arm_arch_for
-    from repro.hypervisor.kvm import Machine
-    from repro.metrics.cycles import ARM_COSTS
-
-    report = SanitizerReport()
-    for mode in modes:
-        config = ALL_CONFIGS["arm-nested" if mode == "nv"
-                             else "neve-nested"]
-        machine = Machine(arch=arm_arch_for(config), costs=ARM_COSTS)
-        vm = machine.kvm.create_vm(num_vcpus=1, nested=mode)
-        runners = [vcpu.neve for vcpu in vm.vcpus]
-        with sanitized(cpus=machine.cpus, runners=runners,
-                       report=report):
-            machine.kvm.boot_nested(vm.vcpus[0])
-            for _ in range(hypercalls):
-                vm.vcpus[0].cpu.hvc(0)
-    return report
-
-
-def _metrics_scenario(mode, hypercalls, attach_metrics):
-    """One nested boot + hypercall scenario, optionally under metrics.
-
-    Returns ``(machine, metrics_or_None)``; the outcome tuple the
-    metrics checks compare is read off the machine's legacy counters.
+    *fastpath* forces the dispatch fast path (None = machine default);
+    ``window(machine, vm)``, when given, returns the context wrapping
+    the boot and hypercalls (the sanitizer, a host profiler).
     """
     from repro.harness.configs import ALL_CONFIGS, arm_arch_for
     from repro.hypervisor.kvm import Machine
     from repro.metrics.cycles import ARM_COSTS
     from repro.metrics.instrument import MachineMetrics
+    from repro.trace.spans import Tracer
 
     config = ALL_CONFIGS["arm-nested" if mode == "nv" else "neve-nested"]
-    machine = Machine(arch=arm_arch_for(config), costs=ARM_COSTS)
-    metrics = None
-    if attach_metrics:
+    machine = Machine(arch=arm_arch_for(config), costs=ARM_COSTS,
+                      fastpath=fastpath)
+    metrics = tracer = None
+    if observed:
         metrics = MachineMetrics(config=config.name)
         metrics.attach_machine(machine)
         metrics.registry.clock = lambda: machine.ledger.total
-    vm = machine.kvm.create_vm(num_vcpus=1, nested=mode)
-    machine.kvm.boot_nested(vm.vcpus[0])
-    for _ in range(hypercalls):
-        vm.vcpus[0].cpu.hvc(0)
-    return machine, metrics
+        tracer = Tracer()
+        tracer.attach_machine(machine)
+    vm = machine.kvm.create_vm(num_vcpus=1, nested=mode,
+                               guest_vhe=guest_vhe)
+    with window(machine, vm) if window is not None else nullcontext():
+        machine.kvm.boot_nested(vm.vcpus[0])
+        for _ in range(hypercalls):
+            vm.vcpus[0].cpu.hvc(0)
+    if tracer is not None:
+        tracer.stop()
+    return machine, metrics, tracer
+
+
+def exports(machine, metrics=None, tracer=None):
+    """The canonical export bundle of one run: ledger, cycle breakdown,
+    trap total and reasons, plus the registry's JSON and Prometheus
+    text with *metrics* and the serialized ring buffer with *tracer*."""
+    bundle = {
+        "ledger_total": machine.ledger.total,
+        "cycle_breakdown": dict(machine.ledger.by_category),
+        "trap_total": machine.traps.total,
+        "trap_reasons": dict(machine.traps.by_reason),
+    }
+    if metrics is not None:
+        bundle["metrics_json"] = metrics.registry.json_snapshot()
+        bundle["prometheus"] = metrics.registry.prometheus_text()
+    if tracer is not None:
+        from repro.trace.export import tracer_payload
+        bundle["trace"] = json.dumps(tracer_payload(tracer), sort_keys=True,
+                                     separators=(",", ":"))
+    return bundle
+
+
+def merge_exports(merge):
+    """The export bundle of a :class:`~repro.fleet.merge.FleetMerge`
+    (the stitched ``trace`` only when the shards collected traces)."""
+    bundle = {
+        "metrics_json": merge.json_snapshot(),
+        "prometheus": merge.prometheus_text(),
+        "digest": merge.digest,
+    }
+    if merge.traces is not None:
+        bundle["trace"] = merge.chrome_trace_json()
+    return bundle
+
+
+def differential(report, rule, what, reference, candidate):
+    """Record one *rule* check per bundle key, naming the key in its
+    violation; an empty *reference* or mismatched key sets is one
+    failing check, so a wiring slip cannot pass on zero comparisons."""
+    if not reference or set(reference) != set(candidate):
+        report.record(
+            False, rule,
+            "%s: vacuous compare, reference keys %s vs candidate keys %s"
+            % (what, sorted(reference), sorted(candidate)))
+        return report
+    for key, before in reference.items():
+        after = candidate[key]
+        values = ""
+        if isinstance(before, int) and isinstance(after, int):
+            values = " (%d vs %d)" % (before, after)
+        report.record(before == after, rule,
+                      "%s: the %s export differs%s" % (what, key, values))
+    return report
+
+
+def run_sanitized_scenario(modes=("nv", "neve"), hypercalls=2):
+    """Run the exit-multiplication scenario (examples/
+    exit_multiplication.py) under the sanitizer on each of *modes*.
+
+    Returns the combined :class:`SanitizerReport`; a clean report means
+    every register access the full hypervisor stack performed resolved
+    exactly as the specification tables demand.
+    """
+    report = SanitizerReport()
+    for mode in modes:
+        _scenario(mode, hypercalls, observed=False,
+                  window=lambda machine, vm: sanitized(
+                      cpus=machine.cpus,
+                      runners=[vcpu.neve for vcpu in vm.vcpus],
+                      report=report))
+    return report
 
 
 def check_metrics_reconcile(machine, metrics, report=None):
@@ -336,129 +399,44 @@ def _key_text(key):
 def check_metrics_ledger(report=None, mode="neve", hypercalls=2):
     """``san-metrics-ledger``: telemetry must be free in simulated time.
 
-    Runs the same seeded scenario twice — metrics attached and detached
-    — and demands identical ledger totals and trap counts (the disabled
-    path adds zero cycles, the enabled path never charges); then exports
-    both formats and demands the ledger did not move.
+    The unobserved and observed runs must agree on every machine key of
+    the export bundle, and exporting the full bundle must not move the
+    ledger.
     """
     if report is None:
         report = SanitizerReport()
-    bare_machine, _ = _metrics_scenario(mode, hypercalls,
-                                        attach_metrics=False)
-    machine, metrics = _metrics_scenario(mode, hypercalls,
-                                         attach_metrics=True)
-    report.record(
-        machine.ledger.total == bare_machine.ledger.total,
-        "san-metrics-ledger",
-        "metrics changed simulated time: ledger %d with metrics, "
-        "%d without" % (machine.ledger.total, bare_machine.ledger.total))
-    report.record(
-        machine.traps.total == bare_machine.traps.total,
-        "san-metrics-ledger",
-        "metrics changed trap behaviour: %d traps with metrics, "
-        "%d without" % (machine.traps.total, bare_machine.traps.total))
+    bare, _, _ = _scenario(mode, hypercalls, observed=False)
+    machine, metrics, tracer = _scenario(mode, hypercalls)
+    differential(report, "san-metrics-ledger", "observed vs unobserved run",
+                 exports(bare), exports(machine))
     mark = machine.ledger.snapshot()
-    metrics.registry.prometheus_text()
-    metrics.registry.json_snapshot()
+    exports(machine, metrics, tracer)
     report.record(
         machine.ledger.since(mark) == 0, "san-metrics-ledger",
-        "exporting metrics charged the ledger: +%d cycles"
+        "exporting metrics and the trace charged the ledger: +%d cycles"
         % machine.ledger.since(mark))
     return report
-
-
-def _instrumented_scenario(mode, hypercalls, fastpath=None,
-                           guest_vhe=False, profiler=None):
-    """One nested boot + hypercall scenario with telemetry and a tracer
-    attached — the shared harness of the differential checks
-    (``san-profile-zero-cycles``, ``san-fastpath-parity``).
-
-    *fastpath* forces the dispatch fast path on or off (None = machine
-    default); *profiler*, when given, is a host profiler whose window
-    wraps the scenario.  Returns ``(machine, metrics, trace_json)`` —
-    *trace_json* is the canonical serialization of the tracer's ring
-    buffer, so a check can demand the traced spans themselves are
-    byte-identical across the two runs it compares.
-    """
-    import json as _json
-
-    from repro.harness.configs import ALL_CONFIGS, arm_arch_for
-    from repro.hypervisor.kvm import Machine
-    from repro.metrics.cycles import ARM_COSTS
-    from repro.metrics.instrument import MachineMetrics
-    from repro.trace.export import tracer_payload
-    from repro.trace.spans import Tracer
-
-    config = ALL_CONFIGS["arm-nested" if mode == "nv" else "neve-nested"]
-    machine = Machine(arch=arm_arch_for(config), costs=ARM_COSTS,
-                      fastpath=fastpath)
-    metrics = MachineMetrics(config=config.name)
-    metrics.attach_machine(machine)
-    metrics.registry.clock = lambda: machine.ledger.total
-    tracer = Tracer()
-    tracer.attach_machine(machine)
-    if profiler is not None:
-        profiler.start()
-    try:
-        vm = machine.kvm.create_vm(num_vcpus=1, nested=mode,
-                                   guest_vhe=guest_vhe)
-        machine.kvm.boot_nested(vm.vcpus[0])
-        for _ in range(hypercalls):
-            vm.vcpus[0].cpu.hvc(0)
-    finally:
-        if profiler is not None:
-            profiler.stop()
-    tracer.stop()
-    trace_json = _json.dumps(tracer_payload(tracer), sort_keys=True,
-                             separators=(",", ":"))
-    return machine, metrics, trace_json
 
 
 def check_profile_zero_cycles(report=None, mode="neve", hypercalls=2):
     """``san-profile-zero-cycles``: host profiling must be invisible to
     the simulation.
 
-    Runs the same seeded scenario twice — host profiler attached and
-    absent — and demands identical ledger totals, trap counts, and
-    byte-identical metrics and trace exports (profiling measures host
-    time; it never charges a virtual cycle or perturbs an outcome).
-    Then builds the profile document itself and demands *that* charged
+    A run inside a host profiler's window must export the same bundle
+    as one outside it, and building the profile document must charge
     nothing either.
     """
-    if report is None:
-        report = SanitizerReport()
+    from repro.profile.export import profile_document, validate_profile
     from repro.profile.profiler import HostProfiler
 
-    bare_machine, bare_metrics, bare_trace = _instrumented_scenario(
-        mode, hypercalls)
+    if report is None:
+        report = SanitizerReport()
+    bare = exports(*_scenario(mode, hypercalls))
     profiler = HostProfiler()
-    machine, metrics, trace_json = _instrumented_scenario(
-        mode, hypercalls, profiler=profiler)
-    report.record(
-        machine.ledger.total == bare_machine.ledger.total,
-        "san-profile-zero-cycles",
-        "profiling changed simulated time: ledger %d with profiler, "
-        "%d without" % (machine.ledger.total, bare_machine.ledger.total))
-    report.record(
-        machine.traps.total == bare_machine.traps.total,
-        "san-profile-zero-cycles",
-        "profiling changed trap behaviour: %d traps with profiler, "
-        "%d without" % (machine.traps.total, bare_machine.traps.total))
-    report.record(
-        metrics.registry.json_snapshot()
-        == bare_metrics.registry.json_snapshot(),
-        "san-profile-zero-cycles",
-        "profiling changed the metrics JSON export")
-    report.record(
-        metrics.registry.prometheus_text()
-        == bare_metrics.registry.prometheus_text(),
-        "san-profile-zero-cycles",
-        "profiling changed the Prometheus export")
-    report.record(
-        trace_json == bare_trace,
-        "san-profile-zero-cycles",
-        "profiling changed the traced spans")
-    from repro.profile.export import profile_document, validate_profile
+    machine, metrics, tracer = _scenario(
+        mode, hypercalls, window=lambda machine, vm: profiler)
+    differential(report, "san-profile-zero-cycles", "profiled run",
+                 bare, exports(machine, metrics, tracer))
     mark = machine.ledger.snapshot()
     document = profile_document(profiler, scenario="san-profile")
     problems = validate_profile(document)
@@ -475,13 +453,11 @@ def check_profile_zero_cycles(report=None, mode="neve", hypercalls=2):
 def check_fleet_merge(report=None, machines=3, seed=0):
     """``san-fleet-merge``: the fleet merge must be order-blind.
 
-    Runs a small fleet's shards in-process once, then folds the same
-    payloads in shard order, reversed and rotated — every fold must
-    export byte-identical Prometheus text, JSON snapshots and fleet
-    digests, and all must equal the sequential reference
-    (:func:`repro.fleet.merge.reference_merge`).  This is the invariant
-    that lets the supervisor retry and reschedule shards freely without
-    the merged export ever depending on scheduling history.
+    Folds one small fleet's shard payloads in shard order, reversed and
+    rotated; every fold, and the sequential reference
+    (:func:`repro.fleet.merge.reference_merge`), must export the same
+    bundle.  This is what lets the supervisor retry and reschedule
+    shards freely.
     """
     from repro.fleet.merge import merge_payloads, reference_merge
     from repro.fleet.plan import FleetPlan
@@ -491,46 +467,19 @@ def check_fleet_merge(report=None, machines=3, seed=0):
     if report is None:
         report = SanitizerReport()
     plan = FleetPlan.generate(seed, machines, shard_size=1)
-    payloads = []
-    for shard in plan.shards:
-        records, metrics_document, traces, _ = run_shard(shard,
-                                                         trace=True)
-        payloads.append((shard.shard_id, records, metrics_document,
-                         traces))
+    # A shard payload is (shard_id, records, metrics_document, traces).
+    payloads = [(shard.shard_id,) + run_shard(shard, trace=True)[:3]
+                for shard in plan.shards]
 
-    orders = [payloads, list(reversed(payloads)),
-              payloads[1:] + payloads[:1]]
-    merges = [merge_payloads(order) for order in orders]
-    baseline = merges[0]
-    for index, merge in enumerate(merges[1:], start=1):
-        report.record(
-            merge.prometheus_text() == baseline.prometheus_text(),
-            "san-fleet-merge",
-            "prometheus export depends on shard arrival order "
-            "(permutation %d differs)" % index)
-        report.record(
-            merge.json_snapshot() == baseline.json_snapshot(),
-            "san-fleet-merge",
-            "json export depends on shard arrival order "
-            "(permutation %d differs)" % index)
-        report.record(
-            merge.digest == baseline.digest,
-            "san-fleet-merge",
-            "fleet digest depends on shard arrival order "
-            "(permutation %d differs)" % index)
-        report.record(
-            merge.chrome_trace_json() == baseline.chrome_trace_json(),
-            "san-fleet-merge",
-            "stitched fleet trace depends on shard arrival order "
-            "(permutation %d differs)" % index)
-    reference = reference_merge(plan, trace=True)
-    report.record(
-        reference.prometheus_text() == baseline.prometheus_text()
-        and reference.json_snapshot() == baseline.json_snapshot()
-        and reference.digest == baseline.digest
-        and reference.chrome_trace_json() == baseline.chrome_trace_json(),
-        "san-fleet-merge",
-        "shuffled merge diverged from the sequential reference run")
+    baseline = merge_payloads(payloads)
+    bundle = merge_exports(baseline)
+    for index, order in enumerate(
+            [payloads[::-1], payloads[1:] + payloads[:1]], start=1):
+        differential(report, "san-fleet-merge",
+                     "shard-order permutation %d" % index,
+                     bundle, merge_exports(merge_payloads(order)))
+    differential(report, "san-fleet-merge", "sequential reference run",
+                 bundle, merge_exports(reference_merge(plan, trace=True)))
     # The per-machine reconciliation invariant must still hold *after*
     # the merge — each stitched machine lane balances its own books.
     for machine_index in sorted(baseline.traces):
@@ -547,67 +496,29 @@ def check_fastpath_parity(report=None, modes=("nv", "neve"),
     """``san-fastpath-parity``: the precompiled dispatch table must be a
     pure speedup.
 
-    Runs the same seeded scenario twice per mode and VHE flavour — fast
-    path disabled (the classification ladder re-derives every verdict)
-    and enabled (one table lookup per access) — and demands every
-    emergent observable is byte-identical: ledger total and per-category
-    breakdown, trap total and per-reason counts, the metrics registry's
-    JSON and Prometheus exports, and the canonical trace serialization.
-    Also asserts the fast machine actually resolved table entries, so a
-    wiring regression cannot silently compare slow against slow.
+    Per mode and VHE flavour, the ladder (fast path off) and the table
+    (on) must export the same bundle, and the fast machine must have
+    resolved table entries, so a wiring slip cannot compare slow
+    against slow.
     """
     if report is None:
         report = SanitizerReport()
     for mode in modes:
         for guest_vhe in (False, True):
             label = "%s%s" % (mode, "+vhe" if guest_vhe else "")
-            slow_machine, slow_metrics, slow_trace = _instrumented_scenario(
-                mode, hypercalls, fastpath=False, guest_vhe=guest_vhe)
-            fast_machine, fast_metrics, fast_trace = _instrumented_scenario(
-                mode, hypercalls, fastpath=True, guest_vhe=guest_vhe)
+            slow = exports(*_scenario(mode, hypercalls, fastpath=False,
+                                      guest_vhe=guest_vhe))
+            fast = _scenario(mode, hypercalls, fastpath=True,
+                             guest_vhe=guest_vhe)
+            dispatch = fast[0].dispatch
             report.record(
-                fast_machine.dispatch is not None
-                and fast_machine.dispatch.resolutions > 0,
+                dispatch is not None and dispatch.resolutions > 0,
                 "san-fastpath-parity",
                 "[%s] the fast path never resolved a dispatch entry — "
                 "parity would compare slow against slow" % label)
-            report.record(
-                fast_machine.ledger.total == slow_machine.ledger.total,
-                "san-fastpath-parity",
-                "[%s] fast path changed simulated time: ledger %d fast, "
-                "%d slow" % (label, fast_machine.ledger.total,
-                             slow_machine.ledger.total))
-            report.record(
-                fast_machine.ledger.by_category
-                == slow_machine.ledger.by_category,
-                "san-fastpath-parity",
-                "[%s] fast path changed the cycle breakdown" % label)
-            report.record(
-                fast_machine.traps.total == slow_machine.traps.total,
-                "san-fastpath-parity",
-                "[%s] fast path changed trap behaviour: %d traps fast, "
-                "%d slow" % (label, fast_machine.traps.total,
-                             slow_machine.traps.total))
-            report.record(
-                fast_machine.traps.by_reason
-                == slow_machine.traps.by_reason,
-                "san-fastpath-parity",
-                "[%s] fast path changed the per-reason trap counts"
-                % label)
-            report.record(
-                fast_metrics.registry.json_snapshot()
-                == slow_metrics.registry.json_snapshot(),
-                "san-fastpath-parity",
-                "[%s] fast path changed the metrics JSON export" % label)
-            report.record(
-                fast_metrics.registry.prometheus_text()
-                == slow_metrics.registry.prometheus_text(),
-                "san-fastpath-parity",
-                "[%s] fast path changed the Prometheus export" % label)
-            report.record(
-                fast_trace == slow_trace,
-                "san-fastpath-parity",
-                "[%s] fast path changed the traced spans" % label)
+            differential(report, "san-fastpath-parity",
+                         "[%s] fast path on vs off" % label, slow,
+                         exports(*fast))
     return report
 
 
@@ -616,8 +527,7 @@ def run_metrics_checks(modes=("nv", "neve"), hypercalls=2):
     returns the combined report (wired into ``python -m repro lint``)."""
     report = SanitizerReport()
     for mode in modes:
-        machine, metrics = _metrics_scenario(mode, hypercalls,
-                                             attach_metrics=True)
+        machine, metrics, _ = _scenario(mode, hypercalls)
         check_metrics_reconcile(machine, metrics, report=report)
     check_metrics_ledger(report=report, hypercalls=hypercalls)
     return report

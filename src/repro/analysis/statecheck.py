@@ -707,15 +707,28 @@ def analyze_paths(sources, package="repro"):
 
 
 def load_baseline(path=None):
-    """The committed suppression keys; empty set if no baseline file."""
+    """The committed suppression keys; empty set if no baseline file.
+
+    Raises ValueError naming the file for malformed JSON, an unknown
+    ``schema`` or ``suppressions`` that is not a list of keys.
+    """
     path = Path(path) if path is not None else default_baseline_path()
     if not path.exists():
         return set()
-    document = json.loads(path.read_text(encoding="utf-8"))
-    if document.get("schema") != BASELINE_SCHEMA:
-        raise ValueError("%s: unknown baseline schema %r"
-                         % (path, document.get("schema")))
-    return set(document.get("suppressions", ()))
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError("%s: unreadable baseline: %s" % (path, exc))
+    schema = document.get("schema") if isinstance(document, dict) else None
+    if schema != BASELINE_SCHEMA:
+        raise ValueError("%s: unknown baseline schema %r, want %r"
+                         % (path, schema, BASELINE_SCHEMA))
+    suppressions = document.get("suppressions", [])
+    if not (isinstance(suppressions, list)
+            and all(isinstance(key, str) for key in suppressions)):
+        raise ValueError("%s: suppressions must be a list of strings"
+                         % path)
+    return set(suppressions)
 
 
 def write_baseline(findings, path=None):
@@ -796,39 +809,28 @@ def run_shared_state_check(report=None, mode="neve", hypercalls=2,
     """``san-shared-state``: a race detector for the simulated world.
 
     Snapshots every inventoried module-level object, constructs and runs
-    two identical machines in one process (metrics attached), and fails
-    if (a) the second machine's run mutated any shared state the first
-    could observe, (b) any *constant*-classified object moved at all, or
-    (c) the two machines' metric exports are not byte-identical.
+    two identical observed machines in one process, and fails if (a) the
+    second machine's run mutated any shared state the first could
+    observe, (b) any *constant*-classified object moved at all, or (c)
+    the two machines' export bundles differ in any key.
     """
-    from repro.analysis.sanitizer import SanitizerReport, \
-        _metrics_scenario
+    from repro.analysis import sanitizer
 
     if report is None:
-        report = SanitizerReport()
+        report = sanitizer.SanitizerReport()
     if objects is None:
         objects = check_shardability().objects
 
     before = snapshot_shared_state(objects)
-    machine_a, metrics_a = _metrics_scenario(mode, hypercalls,
-                                             attach_metrics=True)
-    export_a = metrics_a.registry.json_snapshot()
+    first = sanitizer.exports(*sanitizer._scenario(mode, hypercalls))
     after_first = snapshot_shared_state(objects)
-    machine_b, metrics_b = _metrics_scenario(mode, hypercalls,
-                                             attach_metrics=True)
-    export_b = metrics_b.registry.json_snapshot()
+    second = sanitizer.exports(*sanitizer._scenario(mode, hypercalls))
     after_second = snapshot_shared_state(objects)
 
-    report.record(
-        export_a == export_b, "san-shared-state",
-        "two identical machines in one process produced diverging "
-        "metric exports (%d vs %d bytes) — cross-machine coupling"
-        % (len(export_a), len(export_b)))
-    report.record(
-        machine_a.ledger.total == machine_b.ledger.total,
-        "san-shared-state",
-        "two identical machines disagree on simulated time: %d vs %d "
-        "cycles" % (machine_a.ledger.total, machine_b.ledger.total))
+    sanitizer.differential(
+        report, "san-shared-state",
+        "two identical machines in one process (cross-machine coupling)",
+        first, second)
     classifications = {obj.key: obj.classification for obj in objects}
     for key in sorted(before):
         report.record(

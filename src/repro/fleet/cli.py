@@ -32,6 +32,8 @@ import json
 import os
 import sys
 
+from repro.analysis.sanitizer import (SanitizerReport, differential,
+                                      merge_exports)
 from repro.fleet.chaos import ChaosPlan
 from repro.fleet.merge import reference_merge
 from repro.fleet.plan import DEFAULT_SHARD_SIZE, FleetPlan
@@ -290,19 +292,13 @@ def _verify(plan, result):
                  if state.verdict in ("completed", "retried")]
     traced = result.merge.traces is not None
     reference = reference_merge(plan, shard_ids=completed, trace=traced)
-    mismatches = []
-    if reference.digest != result.merge.digest:
-        mismatches.append("fleet digest")
-    if reference.prometheus_text() != result.merge.prometheus_text():
-        mismatches.append("prometheus export")
-    if reference.json_snapshot() != result.merge.json_snapshot():
-        mismatches.append("json export")
-    if traced and (reference.chrome_trace_json()
-                   != result.merge.chrome_trace_json()):
-        mismatches.append("stitched fleet trace")
-    if mismatches:
-        print("fleet: VERIFY FAILED: supervised merge diverged from the "
-              "sequential reference in: %s" % ", ".join(mismatches))
+    report = differential(SanitizerReport(), "fleet-verify",
+                          "supervised merge vs sequential reference",
+                          merge_exports(reference),
+                          merge_exports(result.merge))
+    if not report.passed:
+        print("fleet: VERIFY FAILED: %s"
+              % "; ".join(f.message for f in report.violations))
         return 1
     print("verify: merged exports byte-identical to the sequential "
           "reference (%d shards%s)"

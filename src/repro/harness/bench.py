@@ -24,24 +24,11 @@ File schema (``repro-bench/1``)::
      "metrics": <registry JSON snapshot document>}
 
 Everything is virtual-cycle timestamped; two runs of the same tree
-produce byte-identical files (modulo the sequence number — and the
-optional ``host`` section below, which records nondeterministic host
-wall-clock time and therefore never participates in the
-trajectory/golden byte-diffs; ``diff_payloads`` and the "unchanged"
-check compare ``results`` only).
-
-``--compare-fastpath`` runs the sweep twice — dispatch fast path
-disabled (the reference) and enabled — demands the ``results`` and
-``metrics`` sections are byte-identical (the fast path is a pure
-speedup; ``san-fastpath-parity`` enforces the same at lint time), and
-attaches a ``host`` section (``repro-bench-host/1``) to the written
-payload with both runs' wall seconds and cycles-per-host-second plus
-the speedup ratio::
-
-    {"schema": "repro-bench-host/1",
-     "reference_wall_s": .., "fastpath_wall_s": ..,
-     "reference_cycles_per_host_s": .., "fastpath_cycles_per_host_s": ..,
-     "speedup": ..}
+produce byte-identical files (modulo the sequence number).
+``diff_payloads`` and the "unchanged" check compare ``results`` only,
+so older entries that carry extra sections (``BENCH_4.json`` records a
+one-shot host-time ``host`` section) still load and diff.  Host time
+is measured by the repository benchmark, ``perfbench/run.py``.
 
 ``--profile`` additionally runs the sweep under the host profiler
 (:mod:`repro.profile`) and writes ``PROF_<n>.json`` (the
@@ -56,7 +43,7 @@ changes the bench payload itself (``san-profile-zero-cycles``).
 import json
 import re
 import sys
-import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.harness.configs import ALL_CONFIGS, make_microbench
@@ -85,53 +72,30 @@ def tolerance_for(config, benchmark, metric):
 
 
 def run_bench(iterations=DEFAULT_ITERATIONS, configs=None,
-              arm_costs=None, x86_costs=None, profiler=None,
-              fastpath=None, host_meter=None):
+              arm_costs=None, x86_costs=None):
     """Measure every config x benchmark cell under one shared registry.
 
     Returns the payload dict (without a sequence number — the caller
-    assigns it when writing the trajectory file).  *profiler*, when
-    given, is a :class:`~repro.profile.profiler.HostProfiler`: the
-    sweep runs inside its window.  Profiling is observe-only, so the
-    payload is byte-identical with or without it
-    (``san-profile-zero-cycles``).
-
-    *fastpath* forces the dispatch fast path on (True) or off (False)
-    for every ARM machine in the sweep (None = machine default).
-    *host_meter*, when given, is a dict the run fills with host-side
-    measurements — ``wall_ns`` (sweep wall time) and ``cycles`` (total
-    simulated cycles across all machines); host time is
-    nondeterministic and never lands in the deterministic payload
-    sections.
+    assigns it when writing the trajectory file).  To profile the sweep,
+    call it inside a :class:`~repro.profile.profiler.HostProfiler`
+    window; profiling is observe-only, so the payload is byte-identical
+    with or without it (``san-profile-zero-cycles``).
     """
     names = list(configs) if configs is not None else sorted(ALL_CONFIGS)
     registry = MetricsRegistry()
     machines = []
     results = {}
-    if profiler is not None:
-        profiler.start()
-    started_ns = time.perf_counter_ns()  # lint: allow(sim-nondeterminism)
-    try:
-        for name in names:
-            costs = (arm_costs if ALL_CONFIGS[name].platform == "arm"
-                     else x86_costs)
-            suite = make_microbench(name, costs=costs, registry=registry,
-                                    fastpath=fastpath)
-            machines.append(suite.machine)
-            cells = {}
-            for benchmark in MICROBENCHMARKS:
-                measured = suite.run(benchmark, iterations)
-                cells[benchmark] = {"cycles": measured.cycles,
-                                    "traps": measured.traps}
-            results[name] = cells
-    finally:
-        if profiler is not None:
-            profiler.stop()
-    if host_meter is not None:
-        host_meter["wall_ns"] = (
-            time.perf_counter_ns() - started_ns)  # lint: allow(sim-nondeterminism)
-        host_meter["cycles"] = sum(machine.ledger.total
-                                   for machine in machines)
+    for name in names:
+        costs = (arm_costs if ALL_CONFIGS[name].platform == "arm"
+                 else x86_costs)
+        suite = make_microbench(name, costs=costs, registry=registry)
+        machines.append(suite.machine)
+        cells = {}
+        for benchmark in MICROBENCHMARKS:
+            measured = suite.run(benchmark, iterations)
+            cells[benchmark] = {"cycles": measured.cycles,
+                                "traps": measured.traps}
+        results[name] = cells
     # The registry's virtual clock: total simulated cycles across every
     # machine the run touched (read-only — exporting charges nothing).
     registry.clock = lambda: sum(machine.ledger.total
@@ -146,6 +110,8 @@ def run_bench(iterations=DEFAULT_ITERATIONS, configs=None,
 
 def validate_payload(payload):
     """Schema check for a bench payload; returns a list of problems."""
+    if not isinstance(payload, dict):
+        return ["not a JSON object"]
     problems = []
     if payload.get("schema") != BENCH_SCHEMA:
         problems.append("schema is %r, want %r"
@@ -160,7 +126,8 @@ def validate_payload(payload):
             continue
         for benchmark, cell in sorted(cells.items()):
             for metric in ("cycles", "traps"):
-                if not isinstance(cell.get(metric), (int, float)):
+                if not (isinstance(cell, dict)
+                        and isinstance(cell.get(metric), (int, float))):
                     problems.append("%s/%s: missing %s"
                                     % (config, benchmark, metric))
     metrics = payload.get("metrics")
@@ -224,28 +191,31 @@ def find_trajectory(directory):
     return sorted(found)
 
 
+def load_previous(directory):
+    """The latest ``(sequence, path, payload)`` in *directory*, or
+    ``(0, None, None)``; ValueError names a file that is not a valid
+    bench payload, OSError a directory that cannot be listed."""
+    trajectory = find_trajectory(directory)
+    if not trajectory:
+        return 0, None, None
+    sequence, path = trajectory[-1]
+    try:
+        payload = json.loads(path.read_text())
+        problems = validate_payload(payload)
+    except (OSError, ValueError) as exc:
+        problems = [str(exc)]
+    if problems:
+        raise ValueError("%s: invalid trajectory entry: %s"
+                         % (path, "; ".join(problems)))
+    return sequence, path, payload
+
+
 def write_payload(payload, directory, sequence):
     payload = dict(payload)
     payload["sequence"] = sequence
     path = Path(directory) / ("BENCH_%d.json" % sequence)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path
-
-
-def host_section(ref_meter, fast_meter):
-    """The ``repro-bench-host/1`` section from two sweep host meters
-    (reference = fast path off, fastpath = on).  Wall seconds are host
-    time — nondeterministic by nature, excluded from all byte-diffs."""
-    ref_s = ref_meter["wall_ns"] / 1e9
-    fast_s = fast_meter["wall_ns"] / 1e9
-    return {
-        "schema": "repro-bench-host/1",
-        "reference_wall_s": round(ref_s, 4),
-        "fastpath_wall_s": round(fast_s, 4),
-        "reference_cycles_per_host_s": round(ref_meter["cycles"] / ref_s, 1),
-        "fastpath_cycles_per_host_s": round(fast_meter["cycles"] / fast_s, 1),
-        "speedup": round(ref_s / fast_s, 3),
-    }
 
 
 def main(argv=None, arm_costs=None, x86_costs=None):
@@ -256,11 +226,18 @@ def main(argv=None, arm_costs=None, x86_costs=None):
     write = True
     force = False
     profile = False
-    compare_fastpath = False
     while argv:
         arg = argv.pop(0)
         if arg == "--iterations" and argv:
-            iterations = int(argv.pop(0))
+            value = argv.pop(0)
+            try:
+                iterations = int(value)
+            except ValueError:
+                iterations = 0
+            if iterations < 1:
+                print("bench: --iterations wants a positive integer, "
+                      "got %r" % value, file=sys.stderr)
+                return 2
         elif arg == "--dir" and argv:
             directory = Path(argv.pop(0))
         elif arg == "--config" and argv:
@@ -271,12 +248,10 @@ def main(argv=None, arm_costs=None, x86_costs=None):
             force = True
         elif arg == "--profile":
             profile = True
-        elif arg == "--compare-fastpath":
-            compare_fastpath = True
         elif arg in ("-h", "--help"):
             print("usage: python -m repro bench [--iterations N] "
                   "[--dir PATH] [--config NAME ...] [--no-write] "
-                  "[--force] [--profile] [--compare-fastpath]")
+                  "[--force] [--profile]")
             return 0
         else:
             print("bench: unknown argument %r" % arg, file=sys.stderr)
@@ -287,43 +262,18 @@ def main(argv=None, arm_costs=None, x86_costs=None):
                   % (name, ", ".join(sorted(ALL_CONFIGS))), file=sys.stderr)
             return 2
 
-    profiler = None
-    if profile:
-        from repro.profile.profiler import HostProfiler
-        profiler = HostProfiler()
-    host = None
-    if compare_fastpath:
-        # Reference sweep first (fast path off, unprofiled); the
-        # recorded payload below is the fast-path run.
-        ref_meter = {}
-        reference = run_bench(iterations=iterations,
-                              configs=configs or None,
-                              arm_costs=arm_costs, x86_costs=x86_costs,
-                              fastpath=False, host_meter=ref_meter)
-    fast_meter = {}
-    payload = run_bench(iterations=iterations,
-                        configs=configs or None,
-                        arm_costs=arm_costs, x86_costs=x86_costs,
-                        profiler=profiler,
-                        fastpath=True if compare_fastpath else None,
-                        host_meter=fast_meter)
-    if compare_fastpath:
-        if reference["results"] != payload["results"] \
-                or reference["metrics"] != payload["metrics"]:
-            print("bench: FASTPATH PARITY FAILURE — the fast path "
-                  "changed emergent counts; run `python -m repro lint` "
-                  "(san-fastpath-parity) to localize", file=sys.stderr)
-            return 1
-        host = host_section(ref_meter, fast_meter)
-        payload["host"] = host
-        print("bench: fastpath compare — reference %.3fs "
-              "(%.0f cycles/host-s), fastpath %.3fs (%.0f cycles/host-s), "
-              "speedup %.2fx; results byte-identical"
-              % (host["reference_wall_s"],
-                 host["reference_cycles_per_host_s"],
-                 host["fastpath_wall_s"],
-                 host["fastpath_cycles_per_host_s"],
-                 host["speedup"]))
+    try:
+        last_sequence, last_path, previous = load_previous(directory)
+    except (OSError, ValueError) as exc:
+        print("bench: %s" % exc, file=sys.stderr)
+        return 2
+
+    from repro.profile.profiler import HostProfiler
+    profiler = HostProfiler() if profile else None
+    with profiler if profiler is not None else nullcontext():
+        payload = run_bench(iterations=iterations,
+                            configs=configs or None,
+                            arm_costs=arm_costs, x86_costs=x86_costs)
     problems = validate_payload(payload)
     if problems:
         for problem in problems:
@@ -339,10 +289,8 @@ def main(argv=None, arm_costs=None, x86_costs=None):
               % (golden.config, golden.benchmark, golden.metric,
                  golden.value, golden.rel_tol, measured))
 
-    trajectory = find_trajectory(directory)
-    if trajectory:
-        last_sequence, last_path = trajectory[-1]
-        previous = json.loads(last_path.read_text())
+    unchanged = False
+    if previous is not None:
         for (config, benchmark, metric, before, after,
              tol) in diff_payloads(previous, payload):
             failed = True
@@ -350,9 +298,7 @@ def main(argv=None, arm_costs=None, x86_costs=None):
                   "now %.1f (rel_tol %.2f)"
                   % (config, benchmark, metric, last_path.name,
                      before, after, tol))
-        unchanged = previous.get("results") == payload["results"]
-    else:
-        last_sequence, previous, unchanged = 0, None, False
+        unchanged = previous["results"] == payload["results"]
 
     if failed:
         print("bench: FAIL — not extending the trajectory",

@@ -123,8 +123,9 @@ def profile_scenario(args):
         meta = {"seed": args.seed}
     else:
         from repro.harness.bench import run_bench
-        run_bench(iterations=args.iterations,
-                  configs=args.config or None, profiler=profiler)
+        with profiler:
+            run_bench(iterations=args.iterations,
+                      configs=args.config or None)
         scenario = "bench-sweep"
         meta = {"iterations": args.iterations,
                 "configs": sorted(args.config) or "all"}

@@ -8,55 +8,46 @@ registry's JSON and Prometheus text, and the canonical trace
 serialization.
 """
 
-import json
-
 import pytest
 
 from repro.analysis.cli import build_parser
-from repro.analysis.sanitizer import check_fastpath_parity
+from repro.analysis.sanitizer import check_fastpath_parity, exports
 from repro.harness.configs import ALL_CONFIGS, make_microbench
-from repro.metrics.registry import MetricsRegistry
-from repro.trace.export import tracer_payload
+from repro.metrics.instrument import MachineMetrics
 from repro.trace.spans import Tracer
 
 
 def _run_config(name, fastpath):
-    registry = MetricsRegistry()
-    suite = make_microbench(name, registry=registry, fastpath=fastpath)
+    """Run *name*'s microbenchmark suite; returns its cells, the export
+    bundle and the machine."""
+    metrics = MachineMetrics(config=name)
+    suite = make_microbench(name, registry=metrics.registry,
+                            fastpath=fastpath)
+    machine = suite.machine
     tracer = None
     if ALL_CONFIGS[name].platform == "arm":
         tracer = Tracer()
-        tracer.attach_machine(suite.machine)
+        tracer.attach_machine(machine)
     results = suite.run_all()
-    machine = suite.machine
-    registry.clock = lambda: machine.ledger.total
-    trace_json = None
+    metrics.registry.clock = lambda: machine.ledger.total
     if tracer is not None:
         tracer.stop()
-        trace_json = json.dumps(tracer_payload(tracer), sort_keys=True,
-                                separators=(",", ":"))
-    return {
-        "results": results,
-        "ledger": machine.ledger.snapshot(),
-        "traps": dict(machine.traps.by_reason),
-        "json": registry.json_snapshot(),
-        "prometheus": registry.prometheus_text(),
-        "trace": trace_json,
-        "machine": machine,
-    }
+    return results, exports(machine, metrics, tracer), machine
 
 
 @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
 def test_exports_identical_fastpath_on_vs_off(name):
-    slow = _run_config(name, fastpath=False)
-    fast = _run_config(name, fastpath=True)
-    for key in ("results", "ledger", "traps", "json", "prometheus",
-                "trace"):
+    slow_results, slow, _ = _run_config(name, fastpath=False)
+    fast_results, fast, fast_machine = _run_config(name, fastpath=True)
+    assert slow_results == fast_results, (
+        "%s: microbench cells diverged under the fast path" % name)
+    assert sorted(slow) == sorted(fast)
+    for key in slow:
         assert slow[key] == fast[key], (
             "%s: %s export diverged under the fast path" % (name, key))
     if ALL_CONFIGS[name].platform == "arm":
-        assert fast["machine"].dispatch is not None
-        assert fast["machine"].dispatch.resolutions > 0
+        assert fast_machine.dispatch is not None
+        assert fast_machine.dispatch.resolutions > 0
 
 
 def test_sanitizer_fastpath_parity_clean():

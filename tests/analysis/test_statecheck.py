@@ -145,6 +145,28 @@ def test_wrong_baseline_schema_is_loud(tmp_path):
         load_baseline(path)
 
 
+@pytest.mark.parametrize("text", [
+    '{"schema": ',
+    json.dumps({"schema": "elsewhere/9", "suppressions": []}),
+    json.dumps({"schema": BASELINE_SCHEMA, "suppressions": "sc-x:a.b"}),
+], ids=["malformed-json", "unknown-schema", "non-list-suppressions"])
+def test_damaged_baseline_is_one_line_naming_the_file(
+        tmp_path, monkeypatch, capsys, text):
+    import repro.analysis.statecheck as statecheck
+    path = tmp_path / "STATECHECK_BASELINE.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="STATECHECK_BASELINE.json"):
+        load_baseline(path)
+    monkeypatch.setattr(statecheck, "default_baseline_path",
+                        lambda: path)
+    for argv in (["--statecheck"], []):
+        assert lint_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and str(path) in lines[0]
+
+
 # ---------------------------------------------------------------------------
 # The live tree and the CLI
 # ---------------------------------------------------------------------------
@@ -229,33 +251,29 @@ def test_shared_state_check_detects_a_seeded_mutation():
     # Simulate a machine leaking into the shared cache mid-run: mutate
     # between the two scenario runs via a monkeypatched scenario.
     import repro.analysis.sanitizer as sanitizer
-    original = sanitizer._metrics_scenario
+    original = sanitizer._scenario
     state = {"runs": 0}
 
-    def leaking(mode, hypercalls, attach_metrics):
+    def leaking(mode, hypercalls, **kwargs):
         state["runs"] += 1
         if state["runs"] == 2:
             appbench._COST_CACHE[("leak", 1)] = object()
-        return original(mode, hypercalls, attach_metrics)
+        return original(mode, hypercalls, **kwargs)
 
-    sanitizer._metrics_scenario = leaking
+    sanitizer._scenario = leaking
     try:
         report = run_shared_state_check(objects=live)
     finally:
-        sanitizer._metrics_scenario = original
+        sanitizer._scenario = original
         appbench.clear_cost_cache()
     assert not report.passed
     assert any("_COST_CACHE" in f.message for f in report.violations)
 
 
 def test_metric_exports_identical_across_two_machines():
-    from repro.analysis.sanitizer import _metrics_scenario
+    from repro.analysis.sanitizer import _scenario, exports
 
-    _machine_a, metrics_a = _metrics_scenario("neve", 2,
-                                              attach_metrics=True)
-    _machine_b, metrics_b = _metrics_scenario("neve", 2,
-                                              attach_metrics=True)
-    assert metrics_a.registry.json_snapshot() \
-        == metrics_b.registry.json_snapshot()
-    assert metrics_a.registry.prometheus_text() \
-        == metrics_b.registry.prometheus_text()
+    first = exports(*_scenario("neve", 2))
+    second = exports(*_scenario("neve", 2))
+    assert {"metrics_json", "prometheus", "trace"} <= set(first)
+    assert first == second

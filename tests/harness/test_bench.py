@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +153,41 @@ class TestMain:
     def test_help(self, capsys):
         assert bench.main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+    def _one_error_line(self, capsys, named):
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and named in lines[0], lines
+
+    @pytest.mark.parametrize("value", ["x", "-3", "0"])
+    def test_bad_iterations_rejected(self, value, capsys):
+        assert bench.main(["--iterations", value]) == 2
+        self._one_error_line(capsys, "--iterations")
+
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", '{"schema": "repro-bench/1"}',
+        '{"schema": "repro-bench/1", "results": {"arm-vm": '
+        '{"hypercall": 5}}}',
+    ], ids=["malformed-json", "not-an-object", "no-results", "bad-cell"])
+    def test_damaged_trajectory_entry_rejected(self, tmp_path, capsys,
+                                               text):
+        (tmp_path / "BENCH_1.json").write_text("{}")
+        (tmp_path / "BENCH_2.json").write_text(text)
+        assert bench.main(self._args(tmp_path)) == 2
+        self._one_error_line(capsys, "BENCH_2.json")
+
+    def test_missing_dir_rejected(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        assert bench.main(["--dir", str(missing)]) == 2
+        self._one_error_line(capsys, str(missing))
+
+    def test_entry_with_a_host_section_still_loads(self, tmp_path):
+        # BENCH_4.json carries a one-shot host-time section from an
+        # earlier bench; later runs must keep diffing against it.
+        committed = Path(__file__).resolve().parents[2] / "BENCH_4.json"
+        shutil.copy(committed, tmp_path / "BENCH_4.json")
+        sequence, path, previous = bench.load_previous(tmp_path)
+        assert (sequence, path.name) == (4, "BENCH_4.json")
+        assert "host" in previous
 
 
 def test_all_configs_known_to_bench():
